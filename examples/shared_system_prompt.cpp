@@ -1,8 +1,9 @@
 // Shared system prompt (paper footnote 3): a chatbot deployment prepends
-// the same system prompt to every conversation. Pensieve computes its KV
-// state once, pins it in the cache, and every conversation's paged block
-// table simply points at the shared blocks — zero extra memory or compute
-// per user.
+// the same system prompt to every conversation. The first conversation
+// computes its KV and publishes the full blocks in the cache's prefix trie;
+// every later conversation that opens with the same tokens attaches those
+// blocks to its paged block table instead of prefilling them. No
+// registration step: the server finds the common prefix itself.
 //
 //   ./build/examples/shared_system_prompt
 
@@ -19,52 +20,47 @@ int main() {
   config.num_cpu_blocks = 96;
   pensieve::StatefulLlmServer server(config);
 
-  // A 48-token "system prompt" (6 chunks, fully shareable).
+  // A 48-token "system prompt" (6 full blocks).
   std::vector<int32_t> system_prompt;
   for (int i = 0; i < 48; ++i) {
     system_prompt.push_back(pensieve::SyntheticToken(/*conv=*/0, i, 128));
   }
-  auto prefix = server.RegisterSharedPrefix(system_prompt);
-  if (!prefix.ok()) {
-    std::printf("error: %s\n", prefix.status().ToString().c_str());
-    return 1;
-  }
-  const int64_t blocks_for_prefix = server.cache().gpu_allocator().num_allocated();
-  std::printf("registered system prompt: %zu tokens, %ld shared, %ld GPU blocks\n",
-              system_prompt.size(),
-              static_cast<long>(server.SharedPrefixLen(*prefix)),
-              static_cast<long>(blocks_for_prefix));
 
-  // Three users chat concurrently; each attends to the one pinned copy.
+  // Three users chat; each first prompt is the system prompt plus their own
+  // words.
   for (int64_t user = 1; user <= 3; ++user) {
-    (void)server.StartConversationWithPrefix(user, *prefix);
-    std::vector<int32_t> prompt;
+    std::vector<int32_t> prompt = system_prompt;
     for (int i = 0; i < 6; ++i) {
       prompt.push_back(pensieve::SyntheticToken(user, 1000 + i, 128));
     }
+    const int64_t blocks_before = server.cache().gpu_allocator().num_allocated();
     auto reply = server.Chat(user, prompt, 5);
     if (!reply.ok()) {
-      std::printf("user %ld error: %s\n", user, reply.status().ToString().c_str());
+      std::printf("user %ld error: %s\n", static_cast<long>(user),
+                  reply.status().ToString().c_str());
       return 1;
     }
-    std::printf("user %ld reply:", user);
+    std::printf("user %ld reply:", static_cast<long>(user));
     for (int32_t t : reply.value()) {
       std::printf(" %d", t);
     }
-    std::printf("  (own KV tokens: %ld)\n",
-                static_cast<long>(server.cache().Find(user)->kv_len()));
+    std::printf("  (%ld KV tokens, %ld new GPU blocks)\n",
+                static_cast<long>(server.cache().Find(user)->kv_len()),
+                static_cast<long>(server.cache().gpu_allocator().num_allocated() -
+                                  blocks_before));
   }
 
-  const int64_t total_blocks = server.cache().gpu_allocator().num_allocated();
-  std::printf("\nGPU blocks: %ld total; without sharing each user would add %ld "
-              "more for the prompt\n",
-              static_cast<long>(total_blocks), static_cast<long>(blocks_for_prefix));
+  const pensieve::TwoTierKvCache::Counters& counters = server.cache().counters();
+  std::printf("\n%ld prompt tokens attached from the first user's blocks; GPU "
+              "blocks in use: %ld (%ld KV references)\n",
+              static_cast<long>(counters.shared_attached_tokens),
+              static_cast<long>(server.cache().gpu_allocator().num_allocated()),
+              static_cast<long>(server.cache().gpu_allocator().live_refs()));
 
   for (int64_t user = 1; user <= 3; ++user) {
     server.EndConversation(user);
   }
-  (void)server.UnregisterSharedPrefix(*prefix);
-  std::printf("all conversations ended, prefix unregistered; blocks in use: %ld\n",
+  std::printf("all conversations ended; blocks in use: %ld\n",
               static_cast<long>(server.cache().gpu_allocator().num_allocated()));
   return 0;
 }

@@ -1,13 +1,15 @@
 // FNV-1a hashing shared by the KV-transfer checksum path and the
 // content-addressed prefix-dedup trie. Both use the same byte-stream
 // algorithm; the checksum path keeps the 32-bit variant it has always
-// emitted, the trie chains the 64-bit variant across blocks.
+// emitted, the trie chains the 64-bit variant across blocks
+// (BlockHashChain).
 
 #ifndef PENSIEVE_SRC_COMMON_HASH_H_
 #define PENSIEVE_SRC_COMMON_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace pensieve {
 
@@ -36,6 +38,27 @@ inline uint64_t Fnv1a64(const void* data, size_t n,
     hash *= kFnv1a64Prime;
   }
   return hash;
+}
+
+// Cumulative FNV-1a chain over a token stream, one hash per full block:
+// chain[b] covers positions [0, (b + 1) * block_size), so equal chain
+// entries mean equal prefixes. `token_at(pos)` is the 64-bit identity of the
+// token at position pos. The prefix-dedup trie is keyed by these chains.
+template <typename TokenAt>
+std::vector<uint64_t> BlockHashChain(int64_t num_blocks, int64_t block_size,
+                                     TokenAt&& token_at) {
+  std::vector<uint64_t> chain;
+  chain.reserve(static_cast<size_t>(num_blocks));
+  uint64_t h = kFnv1a64OffsetBasis;
+  int64_t pos = 0;
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    for (int64_t i = 0; i < block_size; ++i, ++pos) {
+      const uint64_t tok = token_at(pos);
+      h = Fnv1a64(&tok, sizeof(tok), h);
+    }
+    chain.push_back(h);
+  }
+  return chain;
 }
 
 // Deterministic token-identity mix for position `position` of shared-prefix

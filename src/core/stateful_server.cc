@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace pensieve {
@@ -18,7 +19,16 @@ KvCacheConfig MakeNumericCacheConfig(const StatefulServerConfig& config) {
   kv.num_kv_heads = config.model.num_kv_heads;
   kv.head_dim = config.model.head_dim;
   kv.kv_quant = config.kv_quant;
+  kv.enable_prefix_sharing = true;
   return kv;
+}
+
+// Prefix-trie keys of the first `num_blocks` full blocks of a history.
+std::vector<uint64_t> HistoryHashChain(const std::vector<int32_t>& history,
+                                       int64_t num_blocks, int64_t block_size) {
+  return BlockHashChain(num_blocks, block_size, [&history](int64_t pos) {
+    return static_cast<uint64_t>(history[static_cast<size_t>(pos)]);
+  });
 }
 
 CacheCoordinator::Options MakeCoordOptions() {
@@ -62,24 +72,16 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   double now = Tick();
   ContextState& conv = cache_.GetOrCreate(conversation_id);
   std::vector<int32_t>& hist = history_[conversation_id];
-  // Conversations started from a shared system prompt attend to the
-  // prefix's pinned blocks in front of their own; all absolute positions
-  // shift by the shared length.
-  int64_t prefix_len = 0;
-  const SharedPrefix* prefix = nullptr;
-  if (auto pit = conversation_prefix_.find(conversation_id);
-      pit != conversation_prefix_.end()) {
-    prefix = &shared_prefixes_.at(pit->second);
-    prefix_len = prefix->shared_len;
+  hist.insert(hist.end(), prompt.begin(), prompt.end());
+  if (conv.kv_len() == 0) {
+    AttachPublishedPrefix(conversation_id, hist);
   }
   const int64_t kv = conv.kv_len();
-  // The last token generated by the previous turn is left unprocessed (its
-  // KV is computed together with this turn's prompt, exactly as the serving
+  // Everything past the KV is prefilled: this turn's prompt, plus the last
+  // token generated by the previous turn, which is left unprocessed (its KV
+  // is computed together with this turn's prompt, exactly as the serving
   // engine treats pending tokens).
-  const int64_t pending = static_cast<int64_t>(hist.size()) - kv;
-  PENSIEVE_CHECK_GE(pending, 0);
-  hist.insert(hist.end(), prompt.begin(), prompt.end());
-  const int64_t tail_len = pending + static_cast<int64_t>(prompt.size());
+  const int64_t tail_len = static_cast<int64_t>(hist.size()) - kv;
 
   conv.Pin();
   const auto fail = [&](Status status) -> StatusOr<std::vector<int32_t>> {
@@ -112,7 +114,7 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
     for (int64_t s = 0; s < c.num_tokens; ++s) {
       const int64_t pos = conv.ChunkStartToken(i) + s;
       batch.tokens.push_back(hist[static_cast<size_t>(pos)]);
-      batch.positions.push_back(prefix_len + pos);
+      batch.positions.push_back(pos);
       batch.kv_slots.push_back({c.gpu_block, s});
     }
   }
@@ -136,15 +138,16 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
   Tensor logits;
   model_->ForwardInto(cache_.gpu_pool(), batch, &logits);
   int32_t next = Transformer::Greedy(logits, 0);
+  PublishPrefix(conv, hist);
 
   // --- Greedy decode loop -------------------------------------------------
-  // The batch record, block table and logits buffer are hoisted out of the
-  // loop so steady-state steps reuse their capacity; together with the
-  // model's workspace arena this keeps per-token decode off the heap.
+  // The batch record and logits buffer are hoisted out of the loop so
+  // steady-state steps reuse their capacity (the model's workspace arena
+  // does the same inside the forward pass); only the block table is rebuilt
+  // per step.
   std::vector<int32_t> generated;
   generated.reserve(static_cast<size_t>(max_new_tokens));
   ForwardBatch decode;
-  std::vector<BlockId> decode_table;
   std::vector<ContextState::SlotRef> slot;
   for (int64_t step = 0; step < max_new_tokens; ++step) {
     generated.push_back(next);
@@ -159,22 +162,11 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
     }
     slot.clear();
     PENSIEVE_CHECK_OK(cache_.AppendTokenSlots(conversation_id, 1, &slot));
-    decode_table.clear();
-    if (prefix_len > 0) {
-      const std::vector<BlockId> prefix_table =
-          cache_.GpuBlockTable(prefix->cache_key);
-      decode_table.insert(decode_table.end(), prefix_table.begin(),
-                          prefix_table.end());
-    }
-    const std::vector<BlockId> own_decode_table =
-        cache_.GpuBlockTable(conversation_id);
-    decode_table.insert(decode_table.end(), own_decode_table.begin(),
-                        own_decode_table.end());
+    const std::vector<BlockId> decode_table = cache_.GpuBlockTable(conversation_id);
     decode.tokens.assign(1, next);
-    decode.positions.assign(1, prefix_len + conv.kv_len() - 1);
+    decode.positions.assign(1, conv.kv_len() - 1);
     decode.kv_slots.assign(1, ForwardBatch::KvSlot{slot[0].block, slot[0].slot});
-    decode.subs.assign(
-        1, AttentionSubRequest{0, 1, prefix_len + conv.kv_len(), &decode_table});
+    decode.subs.assign(1, AttentionSubRequest{0, 1, conv.kv_len(), &decode_table});
     decode.logit_rows.assign(1, 0);
     model_->ForwardInto(cache_.gpu_pool(), decode, &logits);
     next = Transformer::Greedy(logits, 0);
@@ -188,99 +180,40 @@ StatusOr<std::vector<int32_t>> StatefulLlmServer::Chat(
 void StatefulLlmServer::EndConversation(int64_t conversation_id) {
   cache_.Release(conversation_id);
   history_.erase(conversation_id);
-  if (auto it = conversation_prefix_.find(conversation_id);
-      it != conversation_prefix_.end()) {
-    --shared_prefixes_.at(it->second).attached_conversations;
-    conversation_prefix_.erase(it);
+}
+
+void StatefulLlmServer::AttachPublishedPrefix(int64_t conversation_id,
+                                              const std::vector<int32_t>& history) {
+  // The last history token is always prefilled: the turn's first output
+  // comes from its logits.
+  const int64_t blocks =
+      (static_cast<int64_t>(history.size()) - 1) / config_.block_size;
+  if (blocks == 0) {
+    return;
+  }
+  std::vector<BlockId> matched;
+  const int64_t n = cache_.LookupSharedPrefix(
+      HistoryHashChain(history, blocks, config_.block_size), &matched);
+  if (n > 0) {
+    cache_.AttachSharedPrefix(conversation_id, matched, n * config_.block_size);
   }
 }
 
-StatusOr<int64_t> StatefulLlmServer::RegisterSharedPrefix(
-    const std::vector<int32_t>& tokens) {
-  if (tokens.empty()) {
-    return Status::InvalidArgument("empty shared prefix");
-  }
-  const int64_t shared_len =
-      (static_cast<int64_t>(tokens.size()) / config_.block_size) *
-      config_.block_size;
-  const int64_t id = next_prefix_id_++;
-  const int64_t key = PrefixCacheKey(id);
-  ContextState& state = cache_.GetOrCreate(key);
-  state.Pin();  // permanently resident (explicitly designated reusable)
-  if (shared_len > 0) {
-    const double now = Tick();
-    const int64_t needed = shared_len / config_.block_size;
-    if (!coordinator_.EnsureFreeGpuBlocks(needed, now).ok) {
-      state.Unpin();
-      cache_.Release(key);
-      return Status::ResourceExhausted("GPU cache cannot hold the shared prefix");
+void StatefulLlmServer::PublishPrefix(const ContextState& conv,
+                                      const std::vector<int32_t>& history) {
+  std::vector<BlockId> blocks;
+  for (const Chunk& c : conv.chunks()) {
+    if (!c.OnGpu() || c.num_tokens < config_.block_size) {
+      break;
     }
-    std::vector<ContextState::SlotRef> slots;
-    PENSIEVE_CHECK_OK(cache_.AppendTokenSlots(key, shared_len, &slots));
-    const std::vector<BlockId> table = cache_.GpuBlockTable(key);
-    ForwardBatch batch;
-    for (int64_t i = 0; i < shared_len; ++i) {
-      batch.tokens.push_back(tokens[static_cast<size_t>(i)]);
-      batch.positions.push_back(i);
-      batch.kv_slots.push_back({slots[static_cast<size_t>(i)].block,
-                                slots[static_cast<size_t>(i)].slot});
-    }
-    batch.subs.push_back({0, shared_len, shared_len, &table});
-    batch.logit_rows.push_back(shared_len - 1);
-    model_->Forward(cache_.gpu_pool(), batch);  // logits discarded
+    blocks.push_back(c.gpu_block);
   }
-  SharedPrefix prefix;
-  prefix.cache_key = key;
-  prefix.tokens = tokens;
-  prefix.shared_len = shared_len;
-  shared_prefixes_.emplace(id, std::move(prefix));
-  return id;
-}
-
-Status StatefulLlmServer::UnregisterSharedPrefix(int64_t prefix_id) {
-  auto it = shared_prefixes_.find(prefix_id);
-  if (it == shared_prefixes_.end()) {
-    return Status::NotFound("unknown shared prefix");
+  if (!blocks.empty()) {
+    cache_.PublishSharedPrefix(
+        HistoryHashChain(history, static_cast<int64_t>(blocks.size()),
+                         config_.block_size),
+        blocks);
   }
-  if (it->second.attached_conversations > 0) {
-    return Status::FailedPrecondition("shared prefix still in use");
-  }
-  ContextState* state = cache_.Find(it->second.cache_key);
-  if (state != nullptr) {
-    state->Unpin();
-  }
-  cache_.Release(it->second.cache_key);
-  shared_prefixes_.erase(it);
-  return Status::Ok();
-}
-
-Status StatefulLlmServer::StartConversationWithPrefix(int64_t conversation_id,
-                                                      int64_t prefix_id) {
-  if (conversation_id < 0) {
-    return Status::InvalidArgument("conversation ids must be non-negative");
-  }
-  auto it = shared_prefixes_.find(prefix_id);
-  if (it == shared_prefixes_.end()) {
-    return Status::NotFound("unknown shared prefix");
-  }
-  if (history_.count(conversation_id) > 0 ||
-      cache_.Find(conversation_id) != nullptr) {
-    return Status::FailedPrecondition(
-        "conversation already has state; prefixes attach before the first turn");
-  }
-  conversation_prefix_[conversation_id] = prefix_id;
-  ++it->second.attached_conversations;
-  // Raw tokens beyond the shared whole-chunk boundary become the pending
-  // head of this conversation's own context, re-processed with its first
-  // prompt so block tables stay chunk-aligned.
-  history_[conversation_id].assign(it->second.tokens.begin() + it->second.shared_len,
-                                   it->second.tokens.end());
-  return Status::Ok();
-}
-
-int64_t StatefulLlmServer::SharedPrefixLen(int64_t prefix_id) const {
-  auto it = shared_prefixes_.find(prefix_id);
-  return it == shared_prefixes_.end() ? 0 : it->second.shared_len;
 }
 
 Status StatefulLlmServer::SwapOutConversation(int64_t conversation_id) {

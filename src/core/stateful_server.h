@@ -8,6 +8,12 @@
 // multi-token attention with sub-request splitting — executes for real here
 // over the CPU tensor substrate, which is how the test suite proves that
 // stateful serving is output-equivalent to stateless recomputation.
+//
+// Shared prefixes (e.g. a chatbot's system prompt, paper footnote 3) are
+// deduplicated automatically through the cache's prefix trie: after each
+// prefill the server publishes the conversation's full GPU blocks, and a
+// conversation that starts with no KV attaches the longest published run of
+// full blocks matching its history instead of prefilling it.
 
 #ifndef PENSIEVE_SRC_CORE_STATEFUL_SERVER_H_
 #define PENSIEVE_SRC_CORE_STATEFUL_SERVER_H_
@@ -55,26 +61,6 @@ class StatefulLlmServer {
   // Releases all cached state for a conversation.
   void EndConversation(int64_t conversation_id);
 
-  // --- Shared system prompts (paper footnote 3) --------------------------
-  // A chatbot deployment usually prepends one system prompt to every
-  // conversation. Its KV state can be computed once, pinned in the cache,
-  // and shared read-only by all conversations: Pensieve's paged attention
-  // simply prepends the shared blocks to each conversation's block table.
-  //
-  // Registers a shared prefix and computes its KV once. Only whole chunks
-  // are shared; a trailing partial chunk's tokens are re-processed as part
-  // of each conversation's first prompt (keeping block tables aligned).
-  // Returns a prefix id.
-  StatusOr<int64_t> RegisterSharedPrefix(const std::vector<int32_t>& tokens);
-  // Releases a shared prefix (conversations started from it must be ended
-  // first; enforced by a pin count).
-  Status UnregisterSharedPrefix(int64_t prefix_id);
-  // Starts a conversation whose context begins with the shared prefix. Must
-  // be called before the conversation's first Chat.
-  Status StartConversationWithPrefix(int64_t conversation_id, int64_t prefix_id);
-  // Tokens of the prefix that are served from the shared cache.
-  int64_t SharedPrefixLen(int64_t prefix_id) const;
-
   // --- Cache-pressure knobs (tests / demos) ------------------------------
   // Moves every GPU-resident chunk of the conversation to the CPU tier.
   Status SwapOutConversation(int64_t conversation_id);
@@ -91,15 +77,12 @@ class StatefulLlmServer {
   // Advances the clock used for eviction recency.
   double Tick() { return logical_time_ += 1.0; }
 
-  struct SharedPrefix {
-    int64_t cache_key = 0;           // reserved conversation key in the cache
-    std::vector<int32_t> tokens;     // full prefix (raw)
-    int64_t shared_len = 0;          // whole-chunk portion served from cache
-    int32_t attached_conversations = 0;
-  };
-  // Cache key reserved for a prefix (disjoint from user conversation ids,
-  // which must be non-negative).
-  static int64_t PrefixCacheKey(int64_t prefix_id) { return -(prefix_id + 1); }
+  // For a conversation with no KV: attaches the longest published run of
+  // full blocks matching its history, leaving at least one token to prefill.
+  void AttachPublishedPrefix(int64_t conversation_id,
+                             const std::vector<int32_t>& history);
+  // Publishes the conversation's leading run of full GPU-resident blocks.
+  void PublishPrefix(const ContextState& conv, const std::vector<int32_t>& history);
 
   StatefulServerConfig config_;
   std::unique_ptr<Transformer> model_;
@@ -110,10 +93,6 @@ class StatefulLlmServer {
   // Persistent raw-token store (paper Figure 7): the source of truth used
   // to recompute dropped context.
   std::unordered_map<int64_t, std::vector<int32_t>> history_;
-  std::unordered_map<int64_t, SharedPrefix> shared_prefixes_;
-  // conversation id -> prefix id, for conversations started from a prefix.
-  std::unordered_map<int64_t, int64_t> conversation_prefix_;
-  int64_t next_prefix_id_ = 0;
   double logical_time_ = 0.0;
 };
 

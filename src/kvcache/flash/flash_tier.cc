@@ -1,6 +1,7 @@
 #include "src/kvcache/flash/flash_tier.h"
 
-#include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "src/common/logging.h"
 
@@ -23,9 +24,7 @@ SegmentLogConfig MakeLogConfig(const FlashTierConfig& config) {
 }  // namespace
 
 FlashTier::FlashTier(const FlashTierConfig& config)
-    : config_(config),
-      log_(MakeLogConfig(config)),
-      algo_(MakeFlashCacheAlgo(config.algo, config.capacity_blocks)) {
+    : config_(config), log_(MakeLogConfig(config)) {
   PENSIEVE_CHECK_GT(config_.capacity_blocks, 0);
   if (config_.numeric) {
     pool_ = std::make_unique<KvPool>(log_.capacity_blocks(), config_.block_size,
@@ -50,58 +49,58 @@ int64_t FlashTier::KeyChunk(uint64_t key) {
   return static_cast<int64_t>(key & kChunkMask);
 }
 
-bool FlashTier::Insert(uint64_t key,
-                       const FlashCacheAlgo::EvictablePredicate& evictable,
+bool FlashTier::Insert(uint64_t key, const EvictablePredicate& evictable,
                        std::vector<uint64_t>* evicted) {
   PENSIEVE_CHECK(!Contains(key)) << "flash insert of resident key";
-  const size_t mark = evicted->size();
-  const bool admitted = algo_->Admit(key, evictable, evicted);
-  // Even a failed admission may have evicted keys before stalling; their log
-  // blocks die either way (the caller drops the chunks).
-  for (size_t i = mark; i < evicted->size(); ++i) {
-    auto it = block_of_.find((*evicted)[i]);
-    PENSIEVE_CHECK(it != block_of_.end());
-    log_.MarkDead(it->second);
-    block_of_.erase(it);
-  }
-  if (!admitted) {
-    return false;
+  auto victim = fifo_.begin();
+  while (size() >= config_.capacity_blocks) {
+    while (victim != fifo_.end() && !evictable(*victim)) {
+      ++victim;  // pinned keys keep their place
+    }
+    if (victim == fifo_.end()) {
+      return false;
+    }
+    const uint64_t victim_key = *victim++;
+    evicted->push_back(victim_key);
+    Remove(entries_.find(victim_key));
   }
   const auto relocate = [this](uint64_t k, FlashBlockId from, FlashBlockId to) {
     OnRelocate(k, from, to);
   };
   std::optional<FlashBlockId> block = log_.Append(key, relocate);
-  // The algorithm keeps live keys <= logical capacity and the log is
+  // Admission keeps live keys <= logical capacity and the log is
   // over-provisioned past it, so GC can always reclaim space.
   PENSIEVE_CHECK(block.has_value()) << "flash log full despite over-provisioning";
-  block_of_[key] = *block;
+  fifo_.push_back(key);
+  entries_.emplace(key, Entry{*block, std::prev(fifo_.end())});
   return true;
 }
 
-bool FlashTier::Contains(uint64_t key) const { return block_of_.count(key) > 0; }
-
-void FlashTier::Touch(uint64_t key) { algo_->Touch(key); }
+bool FlashTier::Contains(uint64_t key) const { return entries_.count(key) > 0; }
 
 void FlashTier::Erase(uint64_t key) {
-  auto it = block_of_.find(key);
-  if (it == block_of_.end()) {
-    return;
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    Remove(it);
   }
-  log_.MarkDead(it->second);
-  block_of_.erase(it);
-  algo_->Erase(key);
+}
+
+void FlashTier::Remove(std::unordered_map<uint64_t, Entry>::iterator it) {
+  log_.MarkDead(it->second.block);
+  fifo_.erase(it->second.pos);
+  entries_.erase(it);
 }
 
 FlashBlockId FlashTier::BlockOf(uint64_t key) const {
-  auto it = block_of_.find(key);
-  return it == block_of_.end() ? kInvalidFlashBlock : it->second;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? kInvalidFlashBlock : it->second.block;
 }
 
 void FlashTier::OnRelocate(uint64_t key, FlashBlockId from, FlashBlockId to) {
-  auto it = block_of_.find(key);
-  PENSIEVE_CHECK(it != block_of_.end());
-  PENSIEVE_CHECK_EQ(it->second, from);
-  it->second = to;
+  auto it = entries_.find(key);
+  PENSIEVE_CHECK(it != entries_.end());
+  PENSIEVE_CHECK_EQ(it->second.block, from);
+  it->second.block = to;
   if (pool_ != nullptr && from != to) {
     KvPool::CopyBlock(*pool_, from, *pool_, to);
   }

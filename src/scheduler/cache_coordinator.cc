@@ -383,39 +383,38 @@ CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,
       MaybeForget(drop->conversation);
       continue;
     }
-    // 3b. Flash frontier (SSD tier only): a conversation whose oldest
-    // resident chunks were demoted to flash holds its GPU blocks behind a
-    // kSsd/kCpu prefix that the frontier-only DropChunk above cannot reach —
-    // pre-flash, CPU-pressure drops kept such prefixes kDropped and the
-    // conversation visible. Pick the best conversation by its first
+    // 3b. Deep frontier: a conversation whose oldest resident chunks sit on
+    // the CPU tier or on flash holds its GPU blocks behind a kCpu/kSsd
+    // prefix that the frontier-only DropChunk above cannot reach. Such
+    // prefixes arise from flash demotion, and without flash whenever step 2
+    // could not free CPU space and step 3 dropped a GPU frontier chunk that
+    // had CPU-only chunks behind it. Pick the best conversation by its first
     // GPU-resident chunk and drop the whole prefix through it.
-    if (options_.use_ssd_cache) {
-      std::optional<Victim> deep;
-      for (const auto& [id, state] : cache_->conversations()) {
-        if (state.pinned()) {
-          continue;
-        }
-        int64_t i = state.LeadingDroppedChunks();
-        while (i < state.num_chunks() && !state.chunk(i).OnGpu()) {
-          ++i;
-        }
-        if (i >= state.num_chunks()) {
-          continue;
-        }
-        const double score = Score(id, state, i, now);
-        if (!deep.has_value() || score < deep->score) {
-          deep = Victim{id, i, score};
-        }
+    std::optional<Victim> deep;
+    for (const auto& [id, state] : cache_->conversations()) {
+      if (state.pinned()) {
+        continue;
       }
-      if (deep.has_value()) {
-        int64_t dropped = 0;
-        if (cache_->DropThroughPrefix(deep->conversation, deep->chunk_index,
-                                      &dropped)
-                .ok()) {
-          outcome.dropped_tokens += dropped;
-          MaybeForget(deep->conversation);
-          continue;
-        }
+      int64_t i = state.LeadingDroppedChunks();
+      while (i < state.num_chunks() && !state.chunk(i).OnGpu()) {
+        ++i;
+      }
+      if (i >= state.num_chunks()) {
+        continue;
+      }
+      const double score = Score(id, state, i, now);
+      if (!deep.has_value() || score < deep->score) {
+        deep = Victim{id, i, score};
+      }
+    }
+    if (deep.has_value()) {
+      int64_t dropped = 0;
+      if (cache_->DropThroughPrefix(deep->conversation, deep->chunk_index,
+                                    &dropped)
+              .ok()) {
+        outcome.dropped_tokens += dropped;
+        MaybeForget(deep->conversation);
+        continue;
       }
     }
     // Nothing evictable: every conversation with GPU-resident chunks is

@@ -18,7 +18,6 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
   config.num_cpu_blocks = options.use_cpu_cache ? options.num_cpu_blocks : 0;
   // The flash tier sits behind the CPU tier; without one it has no feeder.
   config.num_ssd_blocks = options.use_cpu_cache ? options.num_ssd_blocks : 0;
-  config.ssd_algo = options.ssd_algo;
   config.ssd_segment_blocks = options.ssd_segment_blocks;
   config.numeric = false;
   config.enable_prefix_sharing = options.enable_prefix_sharing;
@@ -37,25 +36,16 @@ KvCacheConfig MakeCacheConfig(const PensieveEngineOptions& options,
   return config;
 }
 
-// Cumulative FNV-1a chain over a template's raw token stream, one hash per
-// full block. A pure function of (template id, block count): the publisher
-// and every later reader derive identical trie keys without materializing
-// each other's blocks — content identity by construction, since the template
-// token stream itself is the deterministic function TemplatePrefixMix.
+// Hash chain over a template's raw token stream. A pure function of
+// (template id, block count): the publisher and every later reader derive
+// identical trie keys without materializing each other's blocks — content
+// identity by construction, since the template token stream itself is the
+// deterministic function TemplatePrefixMix.
 std::vector<uint64_t> TemplateHashChain(int32_t template_id, int64_t num_blocks,
                                         int64_t block_size) {
-  std::vector<uint64_t> chain;
-  chain.reserve(static_cast<size_t>(num_blocks));
-  uint64_t h = kFnv1a64OffsetBasis;
-  int64_t pos = 0;
-  for (int64_t b = 0; b < num_blocks; ++b) {
-    for (int64_t i = 0; i < block_size; ++i, ++pos) {
-      const uint64_t tok = TemplatePrefixMix(template_id, pos);
-      h = Fnv1a64(&tok, sizeof(tok), h);
-    }
-    chain.push_back(h);
-  }
-  return chain;
+  return BlockHashChain(num_blocks, block_size, [template_id](int64_t pos) {
+    return TemplatePrefixMix(template_id, pos);
+  });
 }
 
 CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& options) {

@@ -1,7 +1,8 @@
 // Tests for the scheduler-side cache coordinator, in particular the
 // ahead-of-time eviction retry guard: a pass that cannot reach the free
 // target (CPU tier full) must not rescan within the same virtual instant
-// unless the available block count changed.
+// unless the available block count changed; and GPU allocation pressure
+// reaching blocks behind a CPU-only prefix without a flash tier.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,39 @@ TEST(CacheCoordinatorTest, PinnedConversationsAreNeverVictims) {
   EXPECT_EQ(outcome.swapped_out_tokens, 0);
   EXPECT_EQ(outcome.dropped_tokens, 0);
   EXPECT_EQ(cache.counters().swapped_out_chunks, 0);
+}
+
+TEST(CacheCoordinatorTest, FreesGpuBlocksBehindCpuOnlyPrefixWithoutFlash) {
+  // 4 GPU / 2 CPU blocks, no flash tier. Conversation 1 is [GPU, CPU, GPU];
+  // the pinned conversation 2 is [CPU, GPU, GPU], so both tiers are full.
+  KvCacheConfig config;
+  config.block_size = 4;
+  config.num_gpu_blocks = 4;
+  config.num_cpu_blocks = 2;
+  TwoTierKvCache cache(config);
+  ASSERT_TRUE(cache.AppendTokenSlots(1, 12, nullptr).ok());
+  ASSERT_TRUE(cache.SwapOut(1, 1).ok());
+  ASSERT_TRUE(cache.ReclaimGpu(1, 1).ok());
+  ASSERT_TRUE(cache.AppendTokenSlots(2, 4, nullptr).ok());
+  ASSERT_TRUE(cache.SwapOut(2, 0).ok());
+  ASSERT_TRUE(cache.ReclaimGpu(2, 0).ok());
+  ASSERT_TRUE(cache.AppendTokenSlots(2, 8, nullptr).ok());
+  cache.GetOrCreate(2).Pin();
+  ASSERT_EQ(cache.gpu_allocator().num_free(), 0);
+  ASSERT_EQ(cache.cpu_allocator().num_free(), 0);
+
+  LruPolicy policy;
+  CacheCoordinator coordinator(&cache, &policy, CacheCoordinator::Options{});
+  // No CPU block can be freed, so nothing can be swapped out. Dropping
+  // conversation 1's GPU front frees one block; the second sits behind the
+  // CPU-only chunk and is reached by dropping through it.
+  const CacheCoordinator::FreeOutcome outcome = coordinator.EnsureFreeGpuBlocks(2, 1.0);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_EQ(cache.gpu_allocator().num_free(), 2);
+  EXPECT_EQ(outcome.dropped_tokens, 12);
+  EXPECT_EQ(outcome.forced_swap_out_tokens, 0);
+  EXPECT_EQ(cache.Find(1), nullptr);  // fully dropped, so forgotten
+  cache.CheckInvariants();
 }
 
 }  // namespace

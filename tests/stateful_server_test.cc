@@ -235,127 +235,111 @@ TEST(StatefulServerTest, DeterministicAcrossServerInstances) {
 
 
 // --- Shared system prompts (paper footnote 3) --------------------------------
+//
+// Conversations that open with the same tokens share the KV of their common
+// full blocks through the cache's prefix trie, with no registration step.
 
-TEST(SharedPrefixTest, PrefixedConversationMatchesMonolithicComputation) {
-  // Serving [system prompt ++ user prompt] via a shared prefix must produce
-  // exactly the tokens of serving the concatenation monolithically.
-  const ModelConfig model = TinyOptConfig();
-  std::vector<int32_t> system_prompt = MakePrompt(50, 0, 19, 128);  // 2 chunks + 3
-  std::vector<int32_t> user_prompt = MakePrompt(51, 0, 7, 128);
-
-  StatefulLlmServer mono(TinyConfig(model));
-  std::vector<int32_t> full = system_prompt;
-  full.insert(full.end(), user_prompt.begin(), user_prompt.end());
-  auto expected = mono.Chat(1, full, 6);
-  ASSERT_TRUE(expected.ok());
-
-  StatefulLlmServer shared(TinyConfig(model));
-  auto prefix = shared.RegisterSharedPrefix(system_prompt);
-  ASSERT_TRUE(prefix.ok()) << prefix.status();
-  // block_size = 8: 19 tokens -> 16 shared, 3 re-processed per conversation.
-  EXPECT_EQ(shared.SharedPrefixLen(*prefix), 16);
-  ASSERT_TRUE(shared.StartConversationWithPrefix(2, *prefix).ok());
-  auto got = shared.Chat(2, user_prompt, 6);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got.value(), expected.value());
+std::vector<int32_t> Concat(const std::vector<int32_t>& a,
+                            const std::vector<int32_t>& b) {
+  std::vector<int32_t> out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
 }
 
-TEST(SharedPrefixTest, ManyConversationsShareOnePrefix) {
-  const ModelConfig model = TinyLlamaConfig();  // RoPE positions must shift too
-  std::vector<int32_t> system_prompt = MakePrompt(60, 0, 16, 128);
-  StatefulLlmServer shared(TinyConfig(model));
-  auto prefix = shared.RegisterSharedPrefix(system_prompt);
-  ASSERT_TRUE(prefix.ok());
-  const int64_t blocks_after_prefix = shared.cache().gpu_allocator().num_allocated();
+class SharedPrefixEquivalenceTest : public EquivalenceTest {};
 
-  StatefulLlmServer mono(TinyConfig(model));
+TEST_P(SharedPrefixEquivalenceTest, OutputsMatchMonolithicServing) {
+  const ModelConfig model = Model();
+  const int32_t vocab = static_cast<int32_t>(model.vocab_size);
+  const std::vector<int32_t> system_prompt = MakePrompt(50, 0, 19, vocab);
+  StatefulLlmServer shared(TinyConfig(model));
   for (int64_t conv = 1; conv <= 3; ++conv) {
-    std::vector<int32_t> user = MakePrompt(70 + conv, 0, 5 + conv, 128);
-    ASSERT_TRUE(shared.StartConversationWithPrefix(conv, *prefix).ok());
-    auto got = shared.Chat(conv, user, 4);
-    std::vector<int32_t> full = system_prompt;
-    full.insert(full.end(), user.begin(), user.end());
-    auto expected = mono.Chat(100 + conv, full, 4);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(got.value(), expected.value()) << "conversation " << conv;
+    const std::vector<int32_t> user = MakePrompt(50 + conv, 0, 4 + conv, vocab);
+    const std::vector<int32_t> follow_up = MakePrompt(60 + conv, 0, 6, vocab);
+    auto got = shared.Chat(conv, Concat(system_prompt, user), 6);
+    ASSERT_TRUE(got.ok()) << got.status();
+    auto got_next = shared.Chat(conv, follow_up, 4);
+    ASSERT_TRUE(got_next.ok()) << got_next.status();
+
+    // A server holding only this conversation computes every token itself.
+    StatefulLlmServer mono(TinyConfig(model));
+    auto mono_first = mono.Chat(conv, Concat(system_prompt, user), 6);
+    ASSERT_TRUE(mono_first.ok());
+    auto mono_next = mono.Chat(conv, follow_up, 4);
+    ASSERT_TRUE(mono_next.ok());
+    EXPECT_EQ(got.value(), mono_first.value()) << "conversation " << conv;
+    EXPECT_EQ(got_next.value(), mono_next.value()) << "conversation " << conv;
   }
-  // The shared prefix occupies its blocks exactly once, not per conversation.
-  const int64_t prefix_blocks = blocks_after_prefix;
-  EXPECT_EQ(prefix_blocks, 2);  // 16 tokens / block_size 8
+  // block_size 8: conversations 2 and 3 each attach the system prompt's two
+  // full blocks.
+  EXPECT_EQ(shared.cache().counters().shared_attached_tokens, 2 * 16);
+  shared.cache().CheckInvariants();
 }
 
-TEST(SharedPrefixTest, PrefixSurvivesConversationEvictionAndMultiTurn) {
+INSTANTIATE_TEST_SUITE_P(Models, SharedPrefixEquivalenceTest,
+                         ::testing::Values("tiny-opt", "tiny-llama"));
+
+TEST(SharedPrefixTest, SecondConversationAttachesInsteadOfAllocating) {
+  const ModelConfig model = TinyLlamaConfig();
+  const std::vector<int32_t> system_prompt = MakePrompt(60, 0, 24, 128);
+  StatefulLlmServer server(TinyConfig(model));
+  ASSERT_TRUE(server.Chat(1, Concat(system_prompt, MakePrompt(61, 0, 5, 128)), 4).ok());
+  const int64_t allocated_after_first = server.cache().gpu_allocator().num_allocated();
+
+  ASSERT_TRUE(server.Chat(2, Concat(system_prompt, MakePrompt(62, 0, 7, 128)), 4).ok());
+  // Conversation 2's context spans 24 + 7 + 3 = 34 tokens: five chunks, of
+  // which the first three are views over conversation 1's blocks.
+  const ContextState* second = server.cache().Find(2);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->num_chunks(), 5);
+  EXPECT_EQ(server.cache().gpu_allocator().num_allocated() - allocated_after_first, 2);
+  EXPECT_EQ(server.cache().counters().shared_attached_chunks, 3);
+  EXPECT_EQ(server.cache().GpuBlockTable(2)[0], server.cache().GpuBlockTable(1)[0]);
+
+  // A prompt that is exactly the three published blocks attaches only two:
+  // its last token must be prefilled to produce the first output.
+  ASSERT_TRUE(server.Chat(3, system_prompt, 4).ok());
+  EXPECT_EQ(server.cache().counters().shared_attached_chunks, 3 + 2);
+  server.cache().CheckInvariants();
+}
+
+TEST(SharedPrefixTest, SharedBlocksOutliveTheirPublisher) {
   const ModelConfig model = TinyOptConfig();
-  StatefulServerConfig config = TinyConfig(model, /*gpu_blocks=*/24,
-                                           /*cpu_blocks=*/32);
-  StatefulLlmServer server(config);
-  auto prefix = server.RegisterSharedPrefix(MakePrompt(80, 0, 16, 128));
-  ASSERT_TRUE(prefix.ok());
-  ASSERT_TRUE(server.StartConversationWithPrefix(1, *prefix).ok());
-  auto t1 = server.Chat(1, MakePrompt(81, 0, 10, 128), 5);
+  const std::vector<int32_t> system_prompt = MakePrompt(80, 0, 16, 128);
+  const std::vector<int32_t> user = MakePrompt(81, 0, 10, 128);
+  StatefulLlmServer server(TinyConfig(model, /*gpu_blocks=*/24, /*cpu_blocks=*/32));
+  ASSERT_TRUE(server.Chat(1, Concat(system_prompt, MakePrompt(82, 0, 3, 128)), 4).ok());
+  auto t1 = server.Chat(2, Concat(system_prompt, user), 5);
   ASSERT_TRUE(t1.ok());
-  // Evict the conversation (the pinned prefix must stay GPU-resident).
-  ASSERT_TRUE(server.SwapOutConversation(1).ok());
-  ASSERT_TRUE(server.DropLeadingChunks(1, 1).ok());
-  auto t2 = server.Chat(1, MakePrompt(82, 0, 6, 128), 5);
+  ASSERT_EQ(server.cache().counters().shared_attached_chunks, 2);
+  // The publisher ends; its shared blocks stay with conversation 2, which
+  // is then swapped out and partly dropped before its next turn.
+  server.EndConversation(1);
+  ASSERT_TRUE(server.SwapOutConversation(2).ok());
+  ASSERT_TRUE(server.DropLeadingChunks(2, 1).ok());
+  auto t2 = server.Chat(2, MakePrompt(83, 0, 6, 128), 5);
   ASSERT_TRUE(t2.ok()) << t2.status();
   server.cache().CheckInvariants();
 
-  // Compare against a fresh prefixed server with the same turn sequence.
-  StatefulLlmServer reference(TinyConfig(model, 256, 256));
-  auto ref_prefix = reference.RegisterSharedPrefix(MakePrompt(80, 0, 16, 128));
-  ASSERT_TRUE(ref_prefix.ok());
-  ASSERT_TRUE(reference.StartConversationWithPrefix(1, *ref_prefix).ok());
-  auto r1 = reference.Chat(1, MakePrompt(81, 0, 10, 128), 5);
-  auto r2 = reference.Chat(1, MakePrompt(82, 0, 6, 128), 5);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(t1.value(), r1.value());
-  EXPECT_EQ(t2.value(), r2.value());
+  const auto expected = StatelessReference(
+      model, {Concat(system_prompt, user), MakePrompt(83, 0, 6, 128)}, 5);
+  EXPECT_EQ(t1.value(), expected[0]);
+  EXPECT_EQ(t2.value(), expected[1]);
 }
 
-TEST(SharedPrefixTest, LifecycleGuards) {
+TEST(SharedPrefixTest, SubBlockPrefixSharesNothing) {
+  // A common prefix shorter than one block has no full block to share.
   const ModelConfig model = TinyOptConfig();
+  const std::vector<int32_t> tiny_prefix = MakePrompt(95, 0, 5, 128);  // < 8
   StatefulLlmServer server(TinyConfig(model));
-  EXPECT_EQ(server.RegisterSharedPrefix({}).status().code(),
-            StatusCode::kInvalidArgument);
-  auto prefix = server.RegisterSharedPrefix(MakePrompt(90, 0, 8, 128));
-  ASSERT_TRUE(prefix.ok());
-  EXPECT_EQ(server.StartConversationWithPrefix(1, 999).code(),
-            StatusCode::kNotFound);
-  ASSERT_TRUE(server.StartConversationWithPrefix(1, *prefix).ok());
-  // Attaching twice, or to a conversation with history, is rejected.
-  EXPECT_EQ(server.StartConversationWithPrefix(1, *prefix).code(),
-            StatusCode::kFailedPrecondition);
-  // Unregister is blocked while attached...
-  EXPECT_EQ(server.UnregisterSharedPrefix(*prefix).code(),
-            StatusCode::kFailedPrecondition);
-  server.EndConversation(1);
-  // ...and succeeds (freeing the pinned blocks) once detached.
-  EXPECT_TRUE(server.UnregisterSharedPrefix(*prefix).ok());
-  EXPECT_EQ(server.cache().gpu_allocator().num_allocated(), 0);
-  EXPECT_EQ(server.UnregisterSharedPrefix(*prefix).code(), StatusCode::kNotFound);
-}
-
-TEST(SharedPrefixTest, SubChunkPrefixIsFullyRecomputed) {
-  // A prefix shorter than one chunk shares nothing but still works.
-  const ModelConfig model = TinyOptConfig();
-  std::vector<int32_t> tiny_prefix = MakePrompt(95, 0, 5, 128);  // < block_size 8
-  std::vector<int32_t> user = MakePrompt(96, 0, 6, 128);
-
-  StatefulLlmServer shared(TinyConfig(model));
-  auto prefix = shared.RegisterSharedPrefix(tiny_prefix);
-  ASSERT_TRUE(prefix.ok());
-  EXPECT_EQ(shared.SharedPrefixLen(*prefix), 0);
-  ASSERT_TRUE(shared.StartConversationWithPrefix(1, *prefix).ok());
-  auto got = shared.Chat(1, user, 4);
+  ASSERT_TRUE(server.Chat(1, Concat(tiny_prefix, MakePrompt(96, 0, 6, 128)), 4).ok());
+  const std::vector<int32_t> second = Concat(tiny_prefix, MakePrompt(97, 0, 6, 128));
+  auto got = server.Chat(2, second, 4);
   ASSERT_TRUE(got.ok());
+  EXPECT_EQ(server.cache().counters().shared_attached_chunks, 0);
 
   StatefulLlmServer mono(TinyConfig(model));
-  std::vector<int32_t> full = tiny_prefix;
-  full.insert(full.end(), user.begin(), user.end());
-  auto expected = mono.Chat(1, full, 4);
+  auto expected = mono.Chat(1, second, 4);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(got.value(), expected.value());
 }
