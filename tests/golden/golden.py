@@ -29,7 +29,8 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # The flash stress config is the CI sanitizer step with the flash tier cut to
-# 0.5 GiB, so flash admission evicts.
+# 0.5 GiB, so flash admission evicts. The elastic, disagg and int8 configs are
+# the CI elastic, disaggregation and quantized stress steps.
 CONFIGS = [
     ("single_default", []),
     ("flash_stress", [
@@ -56,6 +57,37 @@ CONFIGS = [
     ("policy_conversation_lru", [
         "--conversations=60", "--rate=2", "--think=5",
         "--policy=conversation-lru", "--cache_scale=0.15"]),
+    ("elastic", [
+        "--conversations=60", "--replicas=3", "--cache_scale=0.15",
+        "--cpu-scale=0.25", "--ssd-capacity=0.5", "--rate=4", "--think=2",
+        "--health-probe=on", "--probe-interval=0.5", "--probe-loss=0.1",
+        "--sick-replica=1@20:60", "--fault-nic-timeout=0.15",
+        "--fault-nic-corrupt=0.1", "--fault-pcie-timeout=0.05",
+        "--fault-pcie-corrupt=0.05", "--fault-max-attempts=2",
+        "--fail-replica=1@60", "--recover-replica=1@90"]),
+    ("autoscale", [
+        "--conversations=120", "--replicas=4", "--autoscale=on",
+        "--min-replicas=1", "--max-replicas=4", "--rate=4", "--think=2",
+        "--cache_scale=0.3"]),
+    ("disagg", [
+        "--conversations=60", "--replicas=3", "--disagg=on",
+        "--prefill-replicas=1", "--cache_scale=0.15", "--cpu-scale=0.1",
+        "--ssd-capacity=16", "--rate=4", "--think=2",
+        "--overload_tokens=64", "--overload_factor=1.1",
+        "--fault-nic-timeout=0.2", "--fault-nic-corrupt=0.2",
+        "--fault-pcie-timeout=0.1", "--fault-pcie-corrupt=0.1",
+        "--fault-ssd-timeout=0.1", "--fault-ssd-corrupt=0.1",
+        "--fault-max-attempts=2", "--fail-replica=2@40,0@60",
+        "--recover-replica=2@90,0@80"]),
+    ("int8", [
+        "--conversations=60", "--replicas=3", "--cache_scale=0.15",
+        "--cpu-scale=0.1", "--ssd-capacity=16", "--rate=4", "--think=2",
+        "--overload_tokens=64", "--overload_factor=1.1",
+        "--weight-quant=int8", "--kv-quant=on",
+        "--fault-nic-timeout=0.2", "--fault-nic-corrupt=0.2",
+        "--fault-pcie-timeout=0.1", "--fault-pcie-corrupt=0.1",
+        "--fault-ssd-timeout=0.1", "--fault-ssd-corrupt=0.1",
+        "--fault-max-attempts=2"]),
 ]
 
 
