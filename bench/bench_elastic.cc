@@ -1,6 +1,6 @@
 // Elastic replica set benchmark (DESIGN.md §14).
 //
-// Three experiments plus a chaos soak:
+// Two experiments plus a chaos soak:
 //
 //  * Sick replica: a replica degrades (probes fail) for a window and then
 //    hard-fails. With probing off the crash is the first signal — every
@@ -15,18 +15,11 @@
 //    retires replicas afterwards, recovering most of the fixed-large SLO
 //    attainment at a fraction of the replica-seconds.
 //
-//  * Peer spill: CPU tiers sized below the working set. Without spill an
-//    overloaded replica's CPU-tier evictions drop straight to recompute;
-//    with spill they park in a peer's idle CPU tier and come back over the
-//    NIC on next use.
-//
 // Self-checks (always on; a violation exits nonzero, so the --smoke ctest
 // entry is a real test):
-//  * every variant completes every request — quarantine, drain, scale-down
-//    and spill faults degrade to recompute, never drop;
+//  * every variant completes every request — quarantine, drain and
+//    scale-down degrade to recompute, never drop;
 //  * probe accounting identity: probes_sent == probes_ok + probes_failed;
-//  * spill accounting identity: spilled == fetched + degraded
-//    + invalidated + remaining;
 //  * NIC fault-injection identity: injected == recovered + unrecovered;
 //  * probe-quarantine beats hard-fail-only on crash-time damage
 //    (re-routed requests + KV tokens lost);
@@ -35,7 +28,7 @@
 //
 // --chaos runs the soak alone (CI runs it under ASan/UBSan): randomized
 // NIC/PCIe/SSD fault schedule + probe loss + a sick window + a mid-run
-// crash/recover + autoscaling + peer spill, all seeded, with the no-drop
+// crash/recover + autoscaling, all seeded, with the no-drop
 // and identity checks enforced.
 
 #include <algorithm>
@@ -96,11 +89,6 @@ void CheckIdentities(const VariantResult& v, int64_t expected_completed) {
   const HealthStats& h = v.summary.elastic.health;
   if (h.probes_sent != h.probes_ok + h.probes_failed) {
     Fail("probe accounting identity violated (sent != ok + failed)");
-  }
-  const PeerSpillStats& p = v.summary.elastic.peer_spill;
-  if (p.spilled_tokens != p.fetched_tokens + p.degraded_tokens +
-                              p.invalidated_tokens + p.remaining_tokens) {
-    Fail("peer-spill accounting identity violated");
   }
   const LinkFaultStats& nic = v.summary.nic_link_faults;
   if (nic.injected_timeouts + nic.injected_partials + nic.injected_corruptions !=
@@ -177,36 +165,6 @@ VariantResult RunCrowd(const std::string& name, const GpuCostModel& cost_model,
 }
 
 // ---------------------------------------------------------------------------
-// Peer spill: CPU tiers below the working set, spill off vs on.
-
-// Skewed tiers: replica 0's CPU tier is sized far below its share of the
-// working set while its peers have idle CPU budget — the regime where
-// parking evictions at a peer beats recomputing them.
-VariantResult RunSpill(const std::string& name, const GpuCostModel& cost_model,
-                       const WorkloadTrace& trace, bool spill) {
-  ClusterOptions options;
-  options.num_replicas = 3;
-  options.router.policy = RouterPolicy::kSessionAffinity;
-  options.fault_seed = 7;
-  options.elastic.peer_spill.enabled = spill;
-  VariantResult result;
-  result.name = name;
-  options.outcomes = &result.outcomes;
-  result.summary = RunClusterExperiment(
-      [&](int32_t replica_id) {
-        EngineOverrides overrides;
-        overrides.cache_scale = 0.15;
-        overrides.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
-        overrides.fault_seed =
-            7 + 0x9E3779B9ull * static_cast<uint64_t>(replica_id + 1);
-        overrides.peer_spill = spill;
-        return MakeEngine(SystemKind::kPensieve, cost_model, overrides);
-      },
-      trace, options);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // Chaos soak: everything at once under a randomized fault schedule.
 
 VariantResult RunChaos(const GpuCostModel& cost_model,
@@ -234,13 +192,11 @@ VariantResult RunChaos(const GpuCostModel& cost_model,
   options.elastic.autoscale.cooldown = 5.0;
   options.elastic.autoscale.up_queue_tokens = 1024;
   options.elastic.autoscale.down_queue_tokens = 128;
-  options.elastic.peer_spill.enabled = true;
   EngineOverrides overrides;
   overrides.cache_scale = 0.15;
   overrides.cpu_cache_scale = 0.25;
   overrides.ssd_capacity_gb = 0.5;
   overrides.fault_seed = seed;
-  overrides.peer_spill = true;
   overrides.pcie_fault_profile.timeout_rate = 0.05;
   overrides.pcie_fault_profile.corruption_rate = 0.05;
   overrides.ssd_fault_profile.timeout_rate = 0.05;
@@ -276,7 +232,7 @@ int Main(int argc, char** argv) {
       CheckIdentities(v, expected);
       const ElasticStats& e = v.summary.elastic;
       std::printf("%-18s %ld req, %ld probes (%ld failed), %ld quarantines, "
-                  "%ld up / %ld down, %ld spills, %ld KV lost\n",
+                  "%ld up / %ld down, %ld KV lost\n",
                   v.name.c_str(),
                   static_cast<long>(v.summary.cluster.completed_requests),
                   static_cast<long>(e.health.probes_sent),
@@ -284,14 +240,13 @@ int Main(int argc, char** argv) {
                   static_cast<long>(e.health.quarantines),
                   static_cast<long>(e.autoscale.scale_ups),
                   static_cast<long>(e.autoscale.scale_downs),
-                  static_cast<long>(e.peer_spill.spills),
                   static_cast<long>(v.summary.faults.lost_kv_tokens));
       if (e.health.probes_sent == 0) {
         Fail("chaos soak never probed");
       }
     }
     std::printf("chaos soak OK: every request completed under randomized "
-                "NIC/PCIe/SSD faults + crash + quarantine + scaling + spill\n");
+                "NIC/PCIe/SSD faults + crash + quarantine + scaling\n");
     return 0;
   }
 
@@ -412,40 +367,6 @@ int Main(int argc, char** argv) {
          "fixed-small cluster");
   }
 
-  // ---- Peer spill ----
-  TraceOptions spill_options;
-  spill_options.num_conversations = BenchConversations(smoke ? 40 : 100);
-  spill_options.conversation_rate = 4.0;
-  spill_options.mean_think_time = 2.0;
-  spill_options.seed = 21;
-  const WorkloadTrace spill_trace(ShareGptProfile(), spill_options);
-  const int64_t spill_expected = spill_trace.TotalRequests();
-
-  std::printf("\n==== Peer spill (CPU tiers below working set) ====\n");
-  std::printf("%-18s %-10s %-10s %-12s %-12s %-12s\n", "variant", "completed",
-              "spills", "fetched_tok", "recomputed", "cpu_hit");
-  VariantResult no_spill =
-      RunSpill("spill off", cost_model, spill_trace, /*spill=*/false);
-  VariantResult with_spill =
-      RunSpill("spill on", cost_model, spill_trace, /*spill=*/true);
-  for (const VariantResult* v : {&no_spill, &with_spill}) {
-    const PeerSpillStats& p = v->summary.elastic.peer_spill;
-    std::printf("%-18s %-10ld %-10ld %-12ld %-12ld %-12.3f\n", v->name.c_str(),
-                static_cast<long>(v->summary.cluster.completed_requests),
-                static_cast<long>(p.spills),
-                static_cast<long>(p.fetched_tokens),
-                static_cast<long>(
-                    v->summary.cluster.engine_stats.recomputed_history_tokens),
-                v->summary.cluster.engine_stats.CpuCacheHitRate());
-    CheckIdentities(*v, spill_expected);
-  }
-  if (with_spill.summary.elastic.peer_spill.spills < 1) {
-    Fail("peer spill never landed a transfer despite CPU pressure");
-  }
-  if (with_spill.summary.elastic.peer_spill.fetched_tokens < 1) {
-    Fail("no spilled segment was ever fetched back");
-  }
-
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::trunc);
     out << BenchJsonHeader("elastic");
@@ -480,14 +401,7 @@ int Main(int argc, char** argv) {
           << ", \"scale_downs\": " << a.scale_downs << "}"
           << (i + 1 < crowd.size() ? "," : "") << "\n";
     }
-    out << "    ]\n  },\n";
-    const PeerSpillStats& sp = with_spill.summary.elastic.peer_spill;
-    out << "  \"peer_spill\": {\"spills\": " << sp.spills
-        << ", \"spilled_tokens\": " << sp.spilled_tokens
-        << ", \"fetched_tokens\": " << sp.fetched_tokens
-        << ", \"degraded_tokens\": " << sp.degraded_tokens
-        << ", \"invalidated_tokens\": " << sp.invalidated_tokens
-        << ", \"remaining_tokens\": " << sp.remaining_tokens << "}\n";
+    out << "    ]\n  }\n";
     out << "}\n";
     if (!out.good()) {
       Fail("could not write JSON");

@@ -112,17 +112,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
   };
   autoscale_stats.peak_active_replicas = active_alive_count();
   autoscale_stats.min_active_replicas = autoscale_stats.peak_active_replicas;
-  // Peer-spill stash directory: per conversation, the contiguous token
-  // segment [first_token, last_token) parked in `peer`'s CPU tier.
-  PeerSpillStats spill;
-  struct StashEntry {
-    int32_t peer = -1;
-    int64_t first_token = 0;
-    int64_t last_token = 0;
-    double bytes = 0.0;
-  };
-  std::unordered_map<int64_t, StashEntry> stash;
-  int64_t stash_tokens = 0;
 
   // One typed event queue drives the run: arrivals and scheduled faults pop
   // in deterministic order (arrival < fail < recover on time ties), and
@@ -188,74 +177,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       }
     }
     return false;
-  };
-
-  // Peer-spill fetch-back, applied at route time: if the routed
-  // conversation has a stash segment parked on a peer, pull it back over the
-  // NIC (or adopt it in place when the request landed on the stash-holding
-  // peer) so the segment rejoins the dropped prefix before admission. Every
-  // path disposes of the stash entry exactly once: fetched, degraded (NIC
-  // fault), or invalidated (mismatch / migrated payload).
-  auto fetch_stash = [&](Replica::Delivery* delivery, int32_t target,
-                         double now) {
-    auto it = stash.find(delivery->request.conversation_id);
-    if (it == stash.end()) {
-      return;
-    }
-    const StashEntry entry = it->second;
-    const int64_t len = entry.last_token - entry.first_token;
-    stash_tokens -= len;
-    stash.erase(it);
-    if (!delivery->migrated.Empty()) {
-      // A migration is carrying the live KV; whatever frontier the import
-      // creates won't line up with the stash segment. Hole rule: invalidate
-      // rather than risk a gapped prefix.
-      spill.invalidated_tokens += len;
-      if (replicas[static_cast<size_t>(entry.peer)].alive()) {
-        replicas[static_cast<size_t>(entry.peer)]
-            .engine()
-            .ReleaseForeignCpuTokens(len);
-      }
-      return;
-    }
-    Engine& target_engine = replicas[static_cast<size_t>(target)].engine();
-    if (entry.peer == target) {
-      // The request landed where its stash lives: adopt in place, no wire.
-      target_engine.ReleaseForeignCpuTokens(len);
-      const int64_t adopted = target_engine.AcceptPeerPrefix(
-          delivery->request.conversation_id, entry.first_token,
-          entry.last_token, delivery->request.history_len, now);
-      ++spill.fetchbacks;
-      spill.fetched_tokens += adopted;
-      spill.invalidated_tokens += len - adopted;
-      return;
-    }
-    if (!replicas[static_cast<size_t>(entry.peer)].alive()) {
-      // Stale entry (the peer died and invalidation raced); nothing to pull.
-      spill.invalidated_tokens += len;
-      return;
-    }
-    const LinkTransferOutcome out = nic_faults.Transfer(
-        now, entry.bytes, [&](double start, double bytes) {
-          return interconnect.ScheduleTransfer(entry.peer, target, start,
-                                               bytes);
-        });
-    replicas[static_cast<size_t>(entry.peer)].engine().ReleaseForeignCpuTokens(
-        len);
-    if (!out.delivered) {
-      ++spill.failed_transfers;
-      spill.degraded_tokens += len;  // recomputes at the target
-      return;
-    }
-    // The request waits for its stash like it would for a migration.
-    delivery->time = std::max(delivery->time, out.done);
-    const int64_t adopted = target_engine.AcceptPeerPrefix(
-        delivery->request.conversation_id, entry.first_token, entry.last_token,
-        delivery->request.history_len, now);
-    ++spill.fetchbacks;
-    spill.fetched_bytes += entry.bytes;
-    spill.fetched_tokens += adopted;
-    spill.invalidated_tokens += len - adopted;
   };
 
   // Routes `req` at virtual time `now` and delivers it to the chosen
@@ -333,9 +254,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       }
       delivery.migrated = state;
     }
-    if (elastic.peer_spill.enabled) {
-      fetch_stash(&delivery, decision.target, now);
-    }
     replicas[static_cast<size_t>(decision.target)].Deliver(
         std::move(delivery));
   };
@@ -406,9 +324,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       }
     }
     out.migrated = state;
-    if (elastic.peer_spill.enabled) {
-      fetch_stash(&out, decision.target, base);
-    }
     replicas[static_cast<size_t>(decision.target)].Deliver(std::move(out));
   };
 
@@ -424,17 +339,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     router->NotifyReplicaDown(static_cast<int32_t>(event.id));
     // Probe history dies with the replica; it restarts healthy on recovery.
     health.Reset(static_cast<int32_t>(event.id));
-    // Stash segments parked on the dead replica died with its CPU tier.
-    for (auto it = stash.begin(); it != stash.end();) {
-      if (it->second.peer == static_cast<int32_t>(event.id)) {
-        const int64_t len = it->second.last_token - it->second.first_token;
-        spill.invalidated_tokens += len;
-        stash_tokens -= len;
-        it = stash.erase(it);
-      } else {
-        ++it;
-      }
-    }
     Replica::FailureDrain drain = victim.Fail(event.time);
     ++faults.failures;
     faults.lost_kv_tokens += drain.lost_kv_tokens;
@@ -667,17 +571,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       reroute_drained(std::move(d), victim, now,
                       &autoscale_stats.drained_kv_tokens);
     }
-    // Stash segments parked on the victim retire with its engine.
-    for (auto it = stash.begin(); it != stash.end();) {
-      if (it->second.peer == victim) {
-        const int64_t len = it->second.last_token - it->second.first_token;
-        spill.invalidated_tokens += len;
-        stash_tokens -= len;
-        it = stash.erase(it);
-      } else {
-        ++it;
-      }
-    }
     autoscale_stats.released_kv_tokens += r.Retire(now);
     health.Reset(victim);
     ++autoscale_stats.scale_downs;
@@ -726,103 +619,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       arm_timer(SimEventKind::kAutoscale,
                 now + elastic.autoscale.check_interval);
     }
-  };
-
-  // A CPU-tier eviction the stepped replica offered out: pick the peer with
-  // the most idle CPU budget, reserve, and ship the chunk over the NIC. The
-  // chunk was dropped locally either way, so a declined or failed offer
-  // costs nothing beyond the recompute the drop already implied.
-  auto handle_spill_offer = [&](int32_t src, const PeerSpillOffer& o,
-                                double now) {
-    ++spill.offers;
-    auto it = stash.find(o.conversation_id);
-    if (it != stash.end() && o.first_token != it->second.last_token) {
-      // Non-contiguous with the existing stash (the frontier moved past it
-      // some other way). Hole rule: invalidate before stashing afresh.
-      const int64_t len = it->second.last_token - it->second.first_token;
-      spill.invalidated_tokens += len;
-      stash_tokens -= len;
-      if (replicas[static_cast<size_t>(it->second.peer)].alive()) {
-        replicas[static_cast<size_t>(it->second.peer)]
-            .engine()
-            .ReleaseForeignCpuTokens(len);
-      }
-      stash.erase(it);
-      it = stash.end();
-    }
-    if (it != stash.end()) {
-      // Extend the existing segment on its peer.
-      StashEntry& entry = it->second;
-      if (!dispatchable(entry.peer) ||
-          replicas[static_cast<size_t>(entry.peer)]
-                  .engine()
-                  .ReserveForeignCpuTokens(o.num_tokens) == 0) {
-        ++spill.declined_offers;
-        return;
-      }
-      const LinkTransferOutcome out = nic_faults.Transfer(
-          now, o.bytes, [&](double start, double bytes) {
-            return interconnect.ScheduleTransfer(src, entry.peer, start,
-                                                 bytes);
-          });
-      if (!out.delivered) {
-        replicas[static_cast<size_t>(entry.peer)]
-            .engine()
-            .ReleaseForeignCpuTokens(o.num_tokens);
-        ++spill.failed_transfers;
-        return;
-      }
-      entry.last_token += o.num_tokens;
-      entry.bytes += o.bytes;
-      ++spill.spills;
-      spill.spilled_tokens += o.num_tokens;
-      spill.spilled_bytes += o.bytes;
-      stash_tokens += o.num_tokens;
-      spill.stash_peak_tokens =
-          std::max(spill.stash_peak_tokens, stash_tokens);
-      return;
-    }
-    // Fresh segment: the healthiest-looking peer with the most idle CPU.
-    int32_t best = -1;
-    int64_t best_idle = 0;
-    for (int32_t j = 0; j < static_cast<int32_t>(replicas.size()); ++j) {
-      if (j == src || !dispatchable(j)) {
-        continue;
-      }
-      const int64_t idle =
-          replicas[static_cast<size_t>(j)].engine().IdleCpuCacheTokens();
-      if (idle > best_idle) {
-        best_idle = idle;
-        best = j;
-      }
-    }
-    if (best < 0 || best_idle < o.num_tokens ||
-        replicas[static_cast<size_t>(best)].engine().ReserveForeignCpuTokens(
-            o.num_tokens) == 0) {
-      ++spill.declined_offers;
-      return;
-    }
-    const LinkTransferOutcome out = nic_faults.Transfer(
-        now, o.bytes, [&](double start, double bytes) {
-          return interconnect.ScheduleTransfer(src, best, start, bytes);
-        });
-    if (!out.delivered) {
-      replicas[static_cast<size_t>(best)].engine().ReleaseForeignCpuTokens(
-          o.num_tokens);
-      ++spill.failed_transfers;
-      return;
-    }
-    StashEntry entry;
-    entry.peer = best;
-    entry.first_token = o.first_token;
-    entry.last_token = o.first_token + o.num_tokens;
-    entry.bytes = o.bytes;
-    stash[o.conversation_id] = entry;
-    ++spill.spills;
-    spill.spilled_tokens += o.num_tokens;
-    spill.spilled_bytes += o.bytes;
-    stash_tokens += o.num_tokens;
-    spill.stash_peak_tokens = std::max(spill.stash_peak_tokens, stash_tokens);
   };
 
   // Merges the prefill- and decode-side halves of a handed-off turn into
@@ -1109,15 +905,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       // Schedule the conversation's next turn after the user's think time.
       arrivals.OnRequestFinished(outcome);
     }
-    if (elastic.peer_spill.enabled &&
-        replicas[static_cast<size_t>(next_replica)].alive()) {
-      // CPU-pressure drops this step recorded as peer offers: place each on
-      // a peer with idle CPU budget (or let it stay the plain drop it was).
-      Replica& stepped = replicas[static_cast<size_t>(next_replica)];
-      for (const PeerSpillOffer& o : stepped.engine().TakePeerSpillOffers()) {
-        handle_spill_offer(next_replica, o, stepped.now());
-      }
-    }
     ++total_steps;
     if (options.max_steps > 0 && total_steps >= options.max_steps) {
       PENSIEVE_LOG_WARNING << "cluster experiment hit max_steps="
@@ -1175,14 +962,8 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
   summary.faults = faults;
   summary.nic_link_faults = nic_faults.stats();
   summary.handoff = handoff;
-  // Stash segments never fetched back close the peer-spill identity:
-  // spilled == fetched + degraded + invalidated + remaining.
-  for (const auto& [conv, entry] : stash) {
-    spill.remaining_tokens += entry.last_token - entry.first_token;
-  }
   summary.elastic.health = health.stats();
   summary.elastic.autoscale = autoscale_stats;
-  summary.elastic.peer_spill = spill;
   if (options.disagg.enabled) {
     summary.prefill_replicas =
         std::min(options.disagg.prefill_replicas, options.num_replicas - 1);

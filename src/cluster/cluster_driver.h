@@ -83,9 +83,8 @@ struct ClusterOptions {
   LinkRetryPolicy fault_retry;
   uint64_t fault_seed = 0;
   // Elastic-cluster features (DESIGN.md §14): active health probing with
-  // quarantine, queue/latency-driven autoscaling, and cross-replica CPU-tier
-  // spill. All off by default, leaving the run bit-identical to the
-  // inelastic driver. With autoscaling, num_replicas is the slot count
+  // quarantine and queue/latency-driven autoscaling. Both off by default,
+  // leaving the run bit-identical to the inelastic driver. With autoscaling, num_replicas is the slot count
   // (= max_replicas); only autoscale.min_replicas slots start active.
   ElasticOptions elastic;
   // Safety valve on total scheduler iterations across all replicas

@@ -107,7 +107,7 @@ struct ClusterSummary {
   HandoffStats handoff;
   // Number of prefill-role replicas this run (0 = colocated).
   int32_t prefill_replicas = 0;
-  // Elastic-cluster accounting (health probing, autoscaling, peer spill;
+  // Elastic-cluster accounting (health probing and autoscaling;
   // DESIGN.md §14). All zero when the elastic features are off.
   ElasticStats elastic;
 };

@@ -1,6 +1,6 @@
-// Elastic replica set: health probing, autoscaling, cross-replica CPU spill.
+// Elastic replica set: health probing and autoscaling.
 //
-// Three cooperating mechanisms make the cluster react to trouble *before* it
+// Two cooperating mechanisms make the cluster react to trouble *before* it
 // turns into lost work (DESIGN.md §14):
 //
 //  * HealthMonitor — a seeded probe loop on the simulated NIC tracks
@@ -14,12 +14,6 @@
 //    queue-depth and p99-normalized-latency signals with cooldown
 //    hysteresis. A retiring replica drains its decode homes before its
 //    engine is destroyed, so scale-down never drops a request.
-//
-//  * Peer spill — an overloaded replica's CPU-tier evictions are offered to
-//    a peer with idle CPU budget over the NIC instead of falling straight to
-//    recompute; the accounting here tracks every spilled token until it is
-//    fetched back, degraded by a transfer fault, invalidated, or left
-//    stranded at run end.
 //
 // The idiom follows the source-list + failure-tracking + sync-to-healthy
 // structure of classic replicated-source clients: probe everything, count
@@ -215,50 +209,21 @@ class Autoscaler {
   double last_scale_time_ = -1e300;
 };
 
-struct PeerSpillOptions {
-  bool enabled = false;
-};
-
-// Every spilled token is tracked until exactly one of: fetched back,
-// degraded by a transfer fault, invalidated (hole rule, peer loss, retiring
-// peer), or left remaining at run end:
-//   spilled_tokens == fetched_tokens + degraded_tokens
-//                     + invalidated_tokens + remaining_tokens.
-struct PeerSpillStats {
-  int64_t offers = 0;            // CPU-tier evictions offered to peers
-  int64_t declined_offers = 0;   // no peer had idle CPU budget
-  int64_t spills = 0;            // transfers that landed in a peer's CPU tier
-  int64_t spilled_tokens = 0;
-  double spilled_bytes = 0.0;
-  int64_t failed_transfers = 0;  // NIC retries exhausted (spill or fetch)
-  int64_t fetchbacks = 0;        // stash segments pulled back on next use
-  int64_t fetched_tokens = 0;    // tokens actually re-adopted
-  double fetched_bytes = 0.0;
-  int64_t degraded_tokens = 0;   // lost to transfer faults / partial adoption
-  int64_t invalidated_tokens = 0;
-  int64_t remaining_tokens = 0;  // still stashed at run end
-  int64_t stash_peak_tokens = 0;
-};
-
 struct ElasticOptions {
   HealthOptions health;
   AutoscaleOptions autoscale;
-  PeerSpillOptions peer_spill;
 
-  bool Enabled() const {
-    return health.enabled || autoscale.enabled || peer_spill.enabled;
-  }
+  bool Enabled() const { return health.enabled || autoscale.enabled; }
 };
 
 struct ElasticStats {
   HealthStats health;
   AutoscaleStats autoscale;
-  PeerSpillStats peer_spill;
 };
 
-// Multi-line summary ("health-probes:/quarantines:/scale-events:/
-// peer-spill-bytes:" lines); empty when no probing, scaling, or spill
-// happened, so default runs stay bit-identical.
+// Multi-line summary ("health-probes:/quarantines:/scale-events:" lines);
+// empty when no probing or scaling happened, so default runs stay
+// bit-identical.
 std::string FormatElasticSummary(const ElasticStats& stats);
 
 }  // namespace pensieve

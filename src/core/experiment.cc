@@ -59,7 +59,6 @@ std::unique_ptr<Engine> MakeEngine(SystemKind kind, const GpuCostModel& cost_mod
       options.fault_retry = overrides.fault_retry;
       options.fault_seed = overrides.fault_seed;
       options.kv_quant = overrides.kv_quant;
-      options.peer_spill = overrides.peer_spill;
       if (kind == SystemKind::kPensieve && overrides.ssd_capacity_gb > 0.0) {
         const int64_t ssd_tokens = static_cast<int64_t>(
             overrides.ssd_capacity_gb * 1024.0 * 1024.0 * 1024.0 /

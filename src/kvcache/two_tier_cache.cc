@@ -59,12 +59,7 @@ TwoTierKvCache::TwoTierKvCache(const KvCacheConfig& config)
   }
 }
 
-TwoTierKvCache::~TwoTierKvCache() {
-  // Peer-spill reservations the cluster never fetched back die with the
-  // replica; return them before the leak audit.
-  ReleaseForeignCpuBlocks(static_cast<int64_t>(foreign_cpu_blocks_.size()));
-  VerifyNoLeaks();
-}
+TwoTierKvCache::~TwoTierKvCache() { VerifyNoLeaks(); }
 
 ContextState& TwoTierKvCache::GetOrCreate(ConversationId id) {
   auto it = conversations_.find(id);
@@ -655,63 +650,6 @@ int64_t TwoTierKvCache::ImportGpuResident(ConversationId id, int64_t kv_len,
   return imported;
 }
 
-int64_t TwoTierKvCache::ReserveForeignCpuBlocks(int64_t blocks) {
-  PENSIEVE_CHECK_GE(blocks, 0);
-  if (blocks == 0 || cpu_allocator_.num_free() < blocks) {
-    return 0;
-  }
-  for (int64_t i = 0; i < blocks; ++i) {
-    auto block = cpu_allocator_.Allocate();
-    PENSIEVE_CHECK(block.has_value());
-    foreign_cpu_blocks_.push_back(*block);
-  }
-  return blocks;
-}
-
-void TwoTierKvCache::ReleaseForeignCpuBlocks(int64_t blocks) {
-  PENSIEVE_CHECK_LE(blocks, static_cast<int64_t>(foreign_cpu_blocks_.size()));
-  for (int64_t i = 0; i < blocks; ++i) {
-    cpu_allocator_.Free(foreign_cpu_blocks_.back());
-    foreign_cpu_blocks_.pop_back();
-  }
-}
-
-Status TwoTierKvCache::RestoreDroppedToCpu(ConversationId id,
-                                           int64_t chunk_index) {
-  ContextState* state_ptr = nullptr;
-  Status found = FindChunk(id, chunk_index, &state_ptr);
-  if (!found.ok()) {
-    return found;
-  }
-  ContextState& state = *state_ptr;
-  Chunk& c = state.mutable_chunk(chunk_index);
-  if (!c.Dropped()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu requires a dropped chunk");
-  }
-  // Keep the dropped region a prefix: only the trailing edge may come back.
-  if (chunk_index + 1 != state.LeadingDroppedChunks()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu only legal at the dropped-prefix frontier");
-  }
-  // A flash run must remain a contiguous extension of the dropped prefix; a
-  // CPU copy below an SSD chunk would break it.
-  if (chunk_index + 1 < state.num_chunks() &&
-      state.chunk(chunk_index + 1).OnSsd()) {
-    return Status::FailedPrecondition(
-        "RestoreDroppedToCpu would split the conversation's flash run");
-  }
-  auto cpu_block = cpu_allocator_.Allocate();
-  if (!cpu_block.has_value()) {
-    return Status::ResourceExhausted("CPU tier full during peer-prefix adopt");
-  }
-  c.cpu_block = *cpu_block;
-  c.location = ChunkLocation::kCpu;
-  c.cpu_checksum = ComputeCpuChecksum(id, chunk_index, c);
-  c.cpu_corrupt = false;
-  return Status::Ok();
-}
-
 std::vector<BlockId> TwoTierKvCache::GpuBlockTable(ConversationId id,
                                                    int64_t first_chunk) const {
   const ContextState* state = Find(id);
@@ -844,11 +782,9 @@ void TwoTierKvCache::VerifyNoLeaks() const {
   PENSIEVE_CHECK_EQ(gpu_refs, gpu_allocator_.live_refs())
       << "GPU KV block leak: " << gpu_allocator_.live_refs()
       << " live references but only " << gpu_refs << " chunk views";
-  cpu_refs += static_cast<int64_t>(foreign_cpu_blocks_.size());
   PENSIEVE_CHECK_EQ(cpu_refs, cpu_allocator_.live_refs())
       << "CPU KV block leak: " << cpu_allocator_.live_refs()
-      << " live references but only " << cpu_refs
-      << " chunk views + foreign reservations";
+      << " live references but only " << cpu_refs << " chunk views";
 }
 
 void TwoTierKvCache::CheckInvariants() const {
@@ -912,11 +848,9 @@ void TwoTierKvCache::CheckInvariants() const {
         << "block " << block << " refcount disagrees with its view count";
   }
   // The CPU tier is never shared: views, live references, and physical
-  // blocks all coincide — plus whatever is reserved for peer spill, which
-  // holds references without views.
-  const int64_t foreign = static_cast<int64_t>(foreign_cpu_blocks_.size());
-  PENSIEVE_CHECK_EQ(cpu_in_use + foreign, cpu_allocator_.num_allocated());
-  PENSIEVE_CHECK_EQ(cpu_in_use + foreign, cpu_allocator_.live_refs());
+  // blocks all coincide.
+  PENSIEVE_CHECK_EQ(cpu_in_use, cpu_allocator_.num_allocated());
+  PENSIEVE_CHECK_EQ(cpu_in_use, cpu_allocator_.live_refs());
   // Trie references are weak but must never dangle: invalidation happens
   // when the last view releases the block.
   for (BlockId b : trie_.ReferencedBlocks()) {

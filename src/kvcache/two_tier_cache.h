@@ -247,27 +247,6 @@ class TwoTierKvCache {
   // ReclaimGpu.
   // (No extra method needed; coordinator calls ReclaimGpu directly.)
 
-  // --- Cross-replica CPU-tier spill (DESIGN.md §14) -----------------------
-  // Reserves real CPU-tier blocks to hold a peer replica's spilled KV.
-  // All-or-nothing: returns `blocks` when the reservation succeeded, 0 when
-  // the tier is short. Reserved blocks hold allocator references without a
-  // chunk view; the leak audit accounts them separately.
-  int64_t ReserveForeignCpuBlocks(int64_t blocks);
-  // Returns `blocks` previously reserved blocks to the free list (the stash
-  // was fetched back or invalidated).
-  void ReleaseForeignCpuBlocks(int64_t blocks);
-  int64_t foreign_cpu_blocks() const {
-    return static_cast<int64_t>(foreign_cpu_blocks_.size());
-  }
-
-  // kDropped -> kCpu: re-adopts one chunk of a fetched-back spill segment as
-  // a fresh CPU copy (checksummed like any SwapOut product). Only legal at
-  // the trailing edge of the dropped prefix — the chunk right before the
-  // first resident chunk — and only when that resident chunk is not on SSD
-  // (a flash run must stay a contiguous extension of the dropped prefix).
-  // Walk backward from the frontier to adopt a multi-chunk segment.
-  Status RestoreDroppedToCpu(ConversationId id, int64_t chunk_index);
-
   // Builds the GPU block table covering the conversation's chunks
   // [first_chunk, num_chunks); every such chunk must be GPU-resident.
   std::vector<BlockId> GpuBlockTable(ConversationId id, int64_t first_chunk = 0) const;
@@ -339,9 +318,6 @@ class TwoTierKvCache {
   std::unordered_map<ConversationId, ContextState> conversations_;
   PrefixTrie trie_;
   int64_t reclaimable_gpu_blocks_ = 0;
-  // CPU blocks reserved for peer replicas' spilled KV (no chunk view; freed
-  // on release or at destruction).
-  std::vector<BlockId> foreign_cpu_blocks_;
   Counters counters_;
 };
 

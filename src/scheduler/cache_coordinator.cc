@@ -238,24 +238,10 @@ bool CacheCoordinator::EnsureFreeCpuBlocks(int64_t n, double now) {
             // Flash full of pinned chunks, or the CPU copy failed its
             // checksum: fall through to dropping.
           }
-          // Cross-replica spill: the chunk is a clean CPU frontier copy and
-          // is about to be dropped either way; offering it to a peer is pure
-          // upside (a failed transfer degrades to exactly this drop).
-          const bool offerable =
-              options_.peer_spill && !state->chunk(chunk).cpu_corrupt;
-          const int64_t offer_tokens = state->chunk(chunk).num_tokens;
           // DropThroughPrefix also takes down any SSD chunks demoted just
           // above when flash admission stalls mid-conversation.
           if (!cache_->DropThroughPrefix(best->conversation, chunk).ok()) {
             break;
-          }
-          if (offerable) {
-            PeerOffer offer;
-            offer.conversation = best->conversation;
-            offer.chunk_index = chunk;
-            offer.first_token = chunk * cache_->block_size();
-            offer.num_tokens = offer_tokens;
-            pending_peer_offers_.push_back(offer);
           }
           ++chunk;
         }
@@ -282,12 +268,6 @@ CacheCoordinator::SpillOutcome CacheCoordinator::TakeSpill() {
   SpillOutcome spill = std::move(pending_spill_);
   pending_spill_ = SpillOutcome{};
   return spill;
-}
-
-std::vector<CacheCoordinator::PeerOffer> CacheCoordinator::TakePeerOffers() {
-  std::vector<PeerOffer> offers = std::move(pending_peer_offers_);
-  pending_peer_offers_.clear();
-  return offers;
 }
 
 CacheCoordinator::FreeOutcome CacheCoordinator::EnsureFreeGpuBlocks(int64_t n,

@@ -47,11 +47,6 @@ class CacheCoordinator {
     // CachedAttention (paper Table 3), instead of Pensieve's chunk-level
     // dropping.
     bool conversation_granularity = false;
-    // Cross-replica spill (DESIGN.md §14): record CPU-pressure drops as
-    // peer offers so the cluster driver can ship the chunk to a peer's idle
-    // CPU tier. The drop itself is unchanged (the offer is the cluster-side
-    // copy); chunk-granularity only.
-    bool peer_spill = false;
   };
 
   // `may_forget` (optional) is consulted before erasing a fully-dropped
@@ -110,20 +105,6 @@ class CacheCoordinator {
   };
   SpillOutcome TakeSpill();
 
-  // One CPU-tier eviction offered to a peer replica instead of silently
-  // dropping (recorded just before the drop; the chunk was an uncorrupted
-  // kCpu frontier chunk, so successive offers of one conversation are
-  // contiguous token ranges).
-  struct PeerOffer {
-    ConversationId conversation = 0;
-    int64_t chunk_index = 0;
-    int64_t first_token = 0;
-    int64_t num_tokens = 0;
-  };
-  // Offers recorded since the last call; drained by the engine after each
-  // entry point, like TakeSpill.
-  std::vector<PeerOffer> TakePeerOffers();
-
   const Options& options() const { return options_; }
 
  private:
@@ -156,7 +137,6 @@ class CacheCoordinator {
   Options options_;
   std::function<bool(ConversationId)> may_forget_;
   SpillOutcome pending_spill_;
-  std::vector<PeerOffer> pending_peer_offers_;
   // Retry guard for ahead-of-time eviction: when a pass could not reach the
   // target (e.g. CPU tier full), skip further passes within the same virtual
   // instant unless the available block count changed.

@@ -55,9 +55,6 @@ CacheCoordinator::Options MakeCoordinatorOptions(const PensieveEngineOptions& op
   coord.swap_out_target = options.swap_out_threshold;
   coord.conversation_granularity =
       options.policy == EvictionPolicyKind::kConversationLru;
-  // Peer spill only ever targets chunk-granularity CPU evictions.
-  coord.peer_spill = options.peer_spill && options.use_cpu_cache &&
-                     !coord.conversation_granularity;
   return coord;
 }
 
@@ -658,7 +655,8 @@ bool PensieveEngine::TryAdmit(Running* r, double now, int64_t batch_input_tokens
   return true;
 }
 
-int64_t PensieveEngine::AdmitRequests(double now) {
+int64_t PensieveEngine::AdmitRequests(double now,
+                                      std::vector<RequestOutcome>* finished) {
   int64_t batch_tokens = 0;
   for (const Running& r : running_) {
     batch_tokens += r.pending_new_tokens + r.pending_recompute;
@@ -669,6 +667,13 @@ int64_t PensieveEngine::AdmitRequests(double now) {
       break;
     }
     Running& cand = waiting_.front();
+    if (ExceedsGpu(cand)) {
+      // Left at the head of the queue it would block every later request.
+      ++stats_.context_capped_requests;
+      finished->push_back(Finish(cand, now));
+      waiting_.pop_front();
+      continue;
+    }
     if (!TryAdmit(&cand, now, batch_tokens)) {
       break;
     }
@@ -678,6 +683,45 @@ int64_t PensieveEngine::AdmitRequests(double now) {
     ++admitted;
   }
   return admitted;
+}
+
+bool PensieveEngine::ExceedsGpu(const Running& r) const {
+  const ContextState* conv = cache_.Find(r.request.conversation_id);
+  const int64_t kv_len = conv == nullptr ? 0 : conv->kv_len();
+  // Before its first admission a request's input is everything the raw
+  // history and prompt hold beyond the cached KV (see TryAdmit).
+  const int64_t append =
+      r.first_scheduled_time < 0
+          ? r.request.history_len + r.request.new_prompt_len - kv_len
+          : r.pending_new_tokens;
+  const int64_t blocks =
+      conv == nullptr
+          ? (append + options_.block_size - 1) / options_.block_size
+          : conv->num_chunks() + conv->NumNewChunksForAppend(append);
+  return blocks > cache_.gpu_allocator().capacity();
+}
+
+RequestOutcome PensieveEngine::Finish(const Running& r, double finish_time) {
+  auto inflight_it = inflight_.find(r.request.conversation_id);
+  if (--inflight_it->second == 0) {
+    inflight_.erase(inflight_it);
+  }
+  RequestOutcome outcome;
+  outcome.request = r.request;
+  outcome.first_scheduled_time = r.first_scheduled_time;
+  outcome.finish_time = finish_time;
+  outcome.prefill_input_tokens =
+      r.recomputed + r.request.new_prompt_len - r.shared_prompt_skipped;
+  outcome.reused_gpu_tokens = r.reused_gpu;
+  outcome.reused_cpu_tokens = r.reused_cpu;
+  outcome.reused_ssd_tokens = r.reused_ssd;
+  outcome.reused_shared_tokens = r.reused_shared;
+  outcome.recomputed_tokens = r.recomputed;
+  outcome.generated_tokens = r.generated;
+  outcome.suspensions = r.suspensions;
+  outcome.first_token_time = r.first_token_time;
+  outcome.prefill_compute_start = r.prefill_compute_start;
+  return outcome;
 }
 
 void PensieveEngine::EvictConversationFromGpu(int64_t conversation_id, double now) {
@@ -791,10 +835,11 @@ StepResult PensieveEngine::Step(double now) {
   // Ahead-of-time eviction may have spilled CPU chunks to flash to make room.
   ChargeFlashSpill(now);
 
-  const int64_t admitted = AdmitRequests(now);
+  const int64_t admitted = AdmitRequests(now, &result.finished);
 
   if (running_.empty()) {
-    result.idle = true;
+    // A step that only context-capped queued requests still hands them back.
+    result.idle = result.finished.empty();
     SyncFlashStats();
     SyncShareStats();
     SyncQuantStats();
@@ -845,7 +890,7 @@ StepResult PensieveEngine::Step(double now) {
   for (;;) {
     append_pending_range(compute_begin);
     if (running_.empty()) {
-      result.idle = true;
+      result.idle = result.finished.empty();
       SyncFlashStats();
       SyncShareStats();
       SyncQuantStats();
@@ -915,20 +960,7 @@ StepResult PensieveEngine::Step(double now) {
     r.pending_new_tokens = 1;
     ++r.generated;
     ++stats_.generated_tokens;
-    // Context-length cap: a conversation whose KV already fills the entire
-    // GPU can never append another token — eviction only frees blocks held
-    // by OTHER conversations, so a later admission would need more blocks
-    // than the device has and stall forever. Finish at the current length,
-    // the way a real server enforces its maximum context length. The flash
-    // tier makes this state reachable (demotion preserves full-GPU-sized
-    // histories that pure CPU-pressure drops used to truncate), so the cap
-    // is gated on it: with the tier off, behavior stays bit-identical to
-    // the two-tier build.
-    ContextState* capped_conv = cache_.Find(r.request.conversation_id);
-    const bool context_capped =
-        cache_.flash_enabled() &&
-        capped_conv->num_chunks() + capped_conv->NumNewChunksForAppend(1) >
-        cache_.gpu_allocator().capacity();
+    const bool context_capped = ExceedsGpu(r);
     if (context_capped && r.generated < r.request.target_output_len) {
       ++stats_.context_capped_requests;
     }
@@ -941,26 +973,7 @@ StepResult PensieveEngine::Step(double now) {
       ContextState* conv = cache_.Find(r.request.conversation_id);
       conv->Unpin();
       conv->set_last_active(finish_time);
-      auto inflight_it = inflight_.find(r.request.conversation_id);
-      if (--inflight_it->second == 0) {
-        inflight_.erase(inflight_it);
-      }
-      RequestOutcome outcome;
-      outcome.request = r.request;
-      outcome.first_scheduled_time = r.first_scheduled_time;
-      outcome.finish_time = finish_time;
-      outcome.prefill_input_tokens =
-          r.recomputed + r.request.new_prompt_len - r.shared_prompt_skipped;
-      outcome.reused_gpu_tokens = r.reused_gpu;
-      outcome.reused_cpu_tokens = r.reused_cpu;
-      outcome.reused_ssd_tokens = r.reused_ssd;
-      outcome.reused_shared_tokens = r.reused_shared;
-      outcome.recomputed_tokens = r.recomputed;
-      outcome.generated_tokens = r.generated;
-      outcome.suspensions = r.suspensions;
-      outcome.first_token_time = r.first_token_time;
-      outcome.prefill_compute_start = r.prefill_compute_start;
-      result.finished.push_back(std::move(outcome));
+      result.finished.push_back(Finish(r, finish_time));
     } else {
       keep.push_back(std::move(r));
     }
@@ -1067,91 +1080,6 @@ DrainedWork PensieveEngine::DrainForRehome() {
     r.restored_chunks = 0;
   }
   return DrainUnfinished();
-}
-
-std::vector<PeerSpillOffer> PensieveEngine::TakePeerSpillOffers() {
-  std::vector<PeerSpillOffer> offers;
-  for (const CacheCoordinator::PeerOffer& o : coordinator_.TakePeerOffers()) {
-    PeerSpillOffer out;
-    out.conversation_id = o.conversation;
-    out.first_token = o.first_token;
-    out.num_tokens = o.num_tokens;
-    out.bytes = static_cast<double>(o.num_tokens) *
-                static_cast<double>(KvWireBytesPerToken()) *
-                static_cast<double>(cost_model_.hardware().num_gpus);
-    stats_.peer_spill_out_tokens += o.num_tokens;
-    offers.push_back(out);
-  }
-  return offers;
-}
-
-int64_t PensieveEngine::IdleCpuCacheTokens() const {
-  return cache_.cpu_allocator().num_free() * options_.block_size;
-}
-
-int64_t PensieveEngine::ReserveForeignCpuTokens(int64_t tokens) {
-  PENSIEVE_CHECK_GE(tokens, 0);
-  if (tokens == 0) {
-    return 0;
-  }
-  const int64_t blocks =
-      (tokens + options_.block_size - 1) / options_.block_size;
-  return cache_.ReserveForeignCpuBlocks(blocks) == blocks ? tokens : 0;
-}
-
-void PensieveEngine::ReleaseForeignCpuTokens(int64_t tokens) {
-  PENSIEVE_CHECK_GE(tokens, 0);
-  const int64_t blocks =
-      (tokens + options_.block_size - 1) / options_.block_size;
-  cache_.ReleaseForeignCpuBlocks(blocks);
-}
-
-int64_t PensieveEngine::AcceptPeerPrefix(int64_t conversation_id,
-                                         int64_t first_token,
-                                         int64_t last_token,
-                                         int64_t kv_len_hint, double now) {
-  if (last_token <= first_token) {
-    return 0;
-  }
-  ContextState* conv = cache_.Find(conversation_id);
-  if (conv == nullptr) {
-    // No local bookkeeping: the segment is adoptable only as the trailing
-    // end of the conversation's full history (everything after it would
-    // otherwise be silently forgotten).
-    if (kv_len_hint <= 0 || last_token != kv_len_hint) {
-      return 0;
-    }
-    const int64_t adopted = cache_.ImportCpuResident(
-        conversation_id, kv_len_hint, last_token - first_token);
-    if (adopted > 0) {
-      cache_.Find(conversation_id)->set_last_active(now);
-      stats_.peer_spill_in_tokens += adopted;
-    }
-    return adopted;
-  }
-  if (inflight_.find(conversation_id) != inflight_.end()) {
-    // A racing request is already recomputing locally; never clobber it.
-    return 0;
-  }
-  if (conv->LeadingDroppedTokens() != last_token) {
-    // The stash no longer lines up with the dropped frontier (the local
-    // copy was dropped deeper or restored past it); adopting would leave a
-    // hole in the prefix.
-    return 0;
-  }
-  int64_t adopted = 0;
-  for (int64_t chunk = conv->LeadingDroppedChunks() - 1;
-       chunk >= 0 && conv->ChunkStartToken(chunk) >= first_token; --chunk) {
-    if (!cache_.RestoreDroppedToCpu(conversation_id, chunk).ok()) {
-      break;  // CPU tier full (or flash run below): keep what landed
-    }
-    adopted += conv->chunk(chunk).num_tokens;
-  }
-  if (adopted > 0) {
-    conv->set_last_active(now);
-    stats_.peer_spill_in_tokens += adopted;
-  }
-  return adopted;
 }
 
 int64_t PensieveEngine::TotalCachedTokens() const {

@@ -74,14 +74,10 @@ struct PensieveEngineOptions {
   // Int8 KV quantization at the tier boundary: CPU/SSD copies are stored
   // and transferred compressed (per-block amax scale), the CPU and SSD
   // block budgets are accounted in compressed bytes (~2x the
-  // conversations per GB), and every off-GPU KV transfer — swap, spill,
+  // conversations per GB), and every off-GPU KV transfer — swap, demote,
   // promote, migration — is priced at the compressed size. Off by default;
   // when off the engine is bit-identical to the unquantized build.
   bool kv_quant = false;
-  // Cross-replica CPU-tier spill (DESIGN.md §14): record CPU-pressure drops
-  // as peer offers instead of discarding them silently. Off by default; the
-  // local eviction sequence is identical either way.
-  bool peer_spill = false;
 };
 
 class PensieveEngine final : public Engine {
@@ -112,15 +108,6 @@ class PensieveEngine final : public Engine {
   // running requests' conversations and re-drops their restored chunks so
   // every drained conversation is immediately exportable.
   DrainedWork DrainForRehome() override;
-
-  // Cross-replica CPU-tier spill (DESIGN.md §14).
-  std::vector<PeerSpillOffer> TakePeerSpillOffers() override;
-  int64_t IdleCpuCacheTokens() const override;
-  int64_t ReserveForeignCpuTokens(int64_t tokens) override;
-  void ReleaseForeignCpuTokens(int64_t tokens) override;
-  int64_t AcceptPeerPrefix(int64_t conversation_id, int64_t first_token,
-                           int64_t last_token, int64_t kv_len_hint,
-                           double now) override;
 
   // Introspection for tests.
   const TwoTierKvCache& cache() const { return cache_; }
@@ -168,14 +155,20 @@ class PensieveEngine final : public Engine {
   };
 
   // Admission of waiting requests into the running batch. Appends admitted
-  // entries to running_; returns how many were admitted.
-  int64_t AdmitRequests(double now);
+  // entries to running_ and context-capped ones to `finished`; returns how
+  // many were admitted.
+  int64_t AdmitRequests(double now, std::vector<RequestOutcome>* finished);
   bool TryAdmit(Running* r, double now, int64_t batch_input_tokens);
 
-  // Appends `n` pending tokens for a conversation, evicting or suspending
-  // others as needed. Returns false when even suspension cannot free memory.
-  bool EnsureAppend(int64_t conversation_id, int64_t n, double now,
-                    size_t self_index, size_t processed_limit);
+  // Context-length cap: true when the request's next step would need more
+  // KV blocks than the whole GPU holds. Eviction only frees blocks held by
+  // other conversations, so such a request could never run; it finishes at
+  // its current length instead, the way a real server enforces its maximum
+  // context length.
+  bool ExceedsGpu(const Running& r) const;
+
+  // Builds the finished request's outcome and releases its in-flight count.
+  RequestOutcome Finish(const Running& r, double finish_time);
 
   // Takes running_[index] out of the batch, evicts its KV (swap or drop)
   // and re-queues it (§4.3.5).

@@ -143,6 +143,21 @@ TEST(DriverTest, CompletesAllRequests) {
   EXPECT_GT(summary.p90_normalized_latency, 0.0);
 }
 
+TEST(DriverTest, ConversationsLargerThanGpuDoNotWedgeTheEngine) {
+  // At 0.15x the GPU holds 7,840 tokens; some ShareGPT conversations of this
+  // trace grow past that. Their turns finish context-capped instead of
+  // blocking the queue, so every request completes.
+  GpuCostModel model = Opt13BModel();
+  WorkloadTrace trace = SmallTrace(/*conversations=*/300, /*rate=*/2.0,
+                                   /*think=*/5.0, /*seed=*/26);
+  EngineOverrides overrides;
+  overrides.cache_scale = 0.15;
+  auto engine = MakeEngine(SystemKind::kPensieve, model, overrides);
+  ServingSummary summary = RunServingExperiment(engine.get(), trace);
+  EXPECT_EQ(summary.completed_requests, trace.TotalRequests());
+  EXPECT_GT(summary.engine_stats.context_capped_requests, 0);
+}
+
 TEST(DriverTest, StatelessEngineCompletesAllRequests) {
   GpuCostModel model = Opt13BModel();
   WorkloadTrace trace = SmallTrace();

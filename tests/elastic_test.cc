@@ -1,6 +1,6 @@
 // Tests for the elastic replica set (DESIGN.md §14): the health-probe state
 // machine, the autoscaler's hysteresis, router behavior around quarantined
-// replicas, and the cluster driver's drain / scale / peer-spill lifecycles —
+// replicas, and the cluster driver's drain / scale lifecycles —
 // including the no-dropped-request contract under every degradation.
 
 #include <gtest/gtest.h>
@@ -41,9 +41,6 @@ void ExpectNoDropAndIdentities(const ClusterSummary& s, int64_t expected) {
   EXPECT_EQ(s.cluster.completed_requests, expected);
   const HealthStats& h = s.elastic.health;
   EXPECT_EQ(h.probes_sent, h.probes_ok + h.probes_failed);
-  const PeerSpillStats& p = s.elastic.peer_spill;
-  EXPECT_EQ(p.spilled_tokens, p.fetched_tokens + p.degraded_tokens +
-                                  p.invalidated_tokens + p.remaining_tokens);
 }
 
 // --- HealthMonitor state machine --------------------------------------------
@@ -432,34 +429,6 @@ TEST(ElasticClusterTest, AutoscalerGrowsIntoLoadAndRetiresCleanly) {
   }
 }
 
-TEST(ElasticClusterTest, PeerSpillAccountingIdentityAndFetchback) {
-  const GpuCostModel model = Opt13BModel();
-  const WorkloadTrace trace =
-      SmallTrace(/*conversations=*/40, /*rate=*/4.0, /*think=*/2.0, /*seed=*/21);
-
-  ClusterOptions options;
-  options.num_replicas = 3;
-  options.router.policy = RouterPolicy::kSessionAffinity;
-  options.elastic.peer_spill.enabled = true;
-  // Replica 0's CPU tier is starved; its peers have idle budget.
-  const ClusterSummary s = RunClusterExperiment(
-      [&](int32_t replica_id) {
-        EngineOverrides overrides;
-        overrides.cache_scale = 0.15;
-        overrides.cpu_cache_scale = replica_id == 0 ? 0.15 : 2.0;
-        overrides.peer_spill = true;
-        return MakeEngine(SystemKind::kPensieve, model, overrides);
-      },
-      trace, options);
-
-  ExpectNoDropAndIdentities(s, trace.TotalRequests());
-  const PeerSpillStats& p = s.elastic.peer_spill;
-  EXPECT_GT(p.spills, 0);
-  EXPECT_GT(p.spilled_tokens, 0);
-  EXPECT_GT(p.fetched_tokens, 0);
-  EXPECT_EQ(p.failed_transfers, 0);  // no NIC faults armed
-}
-
 TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   const GpuCostModel model = Opt13BModel();
   const WorkloadTrace trace = SmallTrace(/*conversations=*/30, /*rate=*/3.0);
@@ -473,7 +442,6 @@ TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   options.elastic.autoscale.enabled = true;
   options.elastic.autoscale.min_replicas = 2;
   options.elastic.autoscale.max_replicas = 3;
-  options.elastic.peer_spill.enabled = true;
 
   const ClusterSummary a =
       RunClusterExperiment(PensieveFactory(model), trace, options);
@@ -485,8 +453,6 @@ TEST(ElasticClusterTest, DeterministicAcrossIdenticalElasticRuns) {
   EXPECT_EQ(a.elastic.health.probes_failed, b.elastic.health.probes_failed);
   EXPECT_EQ(a.elastic.health.quarantines, b.elastic.health.quarantines);
   EXPECT_EQ(a.elastic.autoscale.scale_ups, b.elastic.autoscale.scale_ups);
-  EXPECT_EQ(a.elastic.peer_spill.spilled_tokens,
-            b.elastic.peer_spill.spilled_tokens);
 }
 
 // --- Trace warping ----------------------------------------------------------

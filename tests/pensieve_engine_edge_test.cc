@@ -77,6 +77,37 @@ TEST(PensieveEngineEdgeTest, ForgottenConversationRecomputesFullHistory) {
   engine.cache().CheckInvariants();
 }
 
+TEST(PensieveEngineEdgeTest, TurnLargerThanGpuFinishesCappedAtAdmission) {
+  GpuCostModel model = Opt13BModel();
+  // 8 blocks x 32 tokens: conversation 0's 300-token turn can never fit.
+  PensieveEngine engine(model, SmallOptions(/*gpu_blocks=*/8));
+  engine.Enqueue(MakeRequest(0, 0, 0, 300, 0, 10), 0.0);
+  engine.Enqueue(MakeRequest(1, 1, 0, 40, 0, 10), 0.0);
+  // Drain fails on an idle step: the oversized turn must not wedge the queue.
+  std::vector<RequestOutcome> outcomes = Drain(&engine);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].request.request_id, 0);
+  EXPECT_EQ(outcomes[0].generated_tokens, 0);
+  EXPECT_EQ(outcomes[0].first_token_time, 0.0);
+  EXPECT_EQ(outcomes[1].request.request_id, 1);
+  EXPECT_EQ(outcomes[1].generated_tokens, 10);
+  EXPECT_EQ(engine.stats().context_capped_requests, 1);
+  engine.cache().CheckInvariants();
+}
+
+TEST(PensieveEngineEdgeTest, DecodeOutgrowingGpuFinishesCappedWithoutFlash) {
+  GpuCostModel model = Opt13BModel();
+  PensieveEngine engine(model, SmallOptions(/*gpu_blocks=*/8));
+  // The 250-token prompt fits in 8 blocks; decode fills them at 256 tokens
+  // (after 7 generated tokens) and the next token would need a ninth.
+  engine.Enqueue(MakeRequest(0, 0, 0, 250, 0, 20), 0.0);
+  std::vector<RequestOutcome> outcomes = Drain(&engine);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].generated_tokens, 7);
+  EXPECT_EQ(engine.stats().context_capped_requests, 1);
+  engine.cache().CheckInvariants();
+}
+
 TEST(PensieveEngineEdgeTest, TokenBudgetLimitsAdmissionsPerStep) {
   GpuCostModel model = Opt13BModel();
   PensieveEngineOptions options = SmallOptions(256, 256);

@@ -91,6 +91,18 @@ bool ParseFaultList(const std::string& spec, bool recover,
   return true;
 }
 
+// Every request of the trace must complete. A shortfall (a wedged engine,
+// orphaned work) is reported and fails the run.
+int DroppedExitCode(int64_t completed, int64_t expected) {
+  if (completed >= expected) {
+    return 0;
+  }
+  std::fprintf(stderr, "dropped: %ld of %ld requests\n",
+               static_cast<long>(expected - completed),
+               static_cast<long>(expected));
+  return 1;
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("model", "opt-13b",
@@ -200,11 +212,6 @@ int Run(int argc, char** argv) {
                   "also grow when the p99 normalized latency (ms/token) of "
                   "recently finished requests exceeds this (0 = queue-depth "
                   "signal only)");
-  flags.AddString("peer-spill", "off",
-                  "cross-replica CPU-tier spill (DESIGN.md §14): on offers "
-                  "an overloaded replica's CPU-tier evictions to a peer with "
-                  "idle CPU budget over the NIC instead of dropping them; "
-                  "off is bit-identical to the unshared tiers");
   flags.AddString("fail-replica", "",
                   "kill replica ID at virtual time T: ID@T[,ID@T...]; its KV "
                   "is lost and its requests re-route to surviving replicas");
@@ -477,18 +484,6 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  const std::string peer_spill = flags.GetString("peer-spill");
-  if (peer_spill != "on" && peer_spill != "off") {
-    std::fprintf(stderr, "unknown peer-spill '%s' (on or off)\n",
-                 peer_spill.c_str());
-    return 2;
-  }
-  elastic.peer_spill.enabled = peer_spill == "on";
-  if (elastic.peer_spill.enabled && replicas < 2) {
-    std::fprintf(stderr, "--peer-spill=on needs --replicas>=2\n");
-    return 2;
-  }
-  overrides.peer_spill = elastic.peer_spill.enabled;
 
   // Fault injection, disaggregation, and the elastic features all run
   // through the cluster layer even with one replica.
@@ -578,7 +573,7 @@ int Run(int argc, char** argv) {
     // Empty unless the run actually handed off, so colocated output is
     // bit-identical to pre-disaggregation builds.
     std::printf("%s", FormatHandoffSummary(cs.handoff).c_str());
-    // Likewise empty when no probing, scaling, or spill happened.
+    // Likewise empty when no probing or scaling happened.
     std::printf("%s", FormatElasticSummary(cs.elastic).c_str());
     std::printf("%s", FormatKvFaultSummary(s.engine_stats).c_str());
     std::printf("%s", FormatSsdTierSummary(s.engine_stats).c_str());
@@ -606,7 +601,7 @@ int Run(int argc, char** argv) {
       }
       std::printf("wrote %s\n", flags.GetString("steps_csv").c_str());
     }
-    return 0;
+    return DroppedExitCode(s.completed_requests, trace.TotalRequests());
   }
 
   auto engine = MakeEngine(kind, cost_model, overrides);
@@ -667,7 +662,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("wrote %s\n", flags.GetString("steps_csv").c_str());
   }
-  return 0;
+  return DroppedExitCode(s.completed_requests, trace.TotalRequests());
 }
 
 }  // namespace
