@@ -31,6 +31,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # The flash stress config is the CI sanitizer step with the flash tier cut to
 # 0.5 GiB, so flash admission evicts. The elastic, disagg and int8 configs are
 # the CI elastic, disaggregation and quantized stress steps.
+# quarantine_disagg quarantines replicas of a disaggregated cluster (prefill
+# and decode side) before a crash; autoscale_migrate retires replicas whose
+# drained requests carry NIC-faulted migrated KV.
 CONFIGS = [
     ("single_default", []),
     ("flash_stress", [
@@ -87,6 +90,20 @@ CONFIGS = [
         "--fault-nic-timeout=0.2", "--fault-nic-corrupt=0.2",
         "--fault-pcie-timeout=0.1", "--fault-pcie-corrupt=0.1",
         "--fault-ssd-timeout=0.1", "--fault-ssd-corrupt=0.1",
+        "--fault-max-attempts=2"]),
+    ("quarantine_disagg", [
+        "--conversations=60", "--replicas=3", "--disagg=on",
+        "--prefill-replicas=1", "--cache_scale=0.15", "--cpu-scale=0.25",
+        "--ssd-capacity=0.5", "--rate=4", "--think=2", "--health-probe=on",
+        "--probe-interval=0.5", "--probe-loss=0.1",
+        "--sick-replica=2@20:60,0@30:50", "--fault-nic-timeout=0.15",
+        "--fault-nic-corrupt=0.1", "--fault-max-attempts=2",
+        "--fail-replica=1@70", "--recover-replica=1@90"]),
+    ("autoscale_migrate", [
+        "--conversations=120", "--replicas=4", "--autoscale=on",
+        "--min-replicas=1", "--max-replicas=4", "--rate=4", "--think=2",
+        "--cache_scale=0.3", "--overload_tokens=64", "--overload_factor=1.1",
+        "--fault-nic-timeout=0.2", "--fault-nic-corrupt=0.1",
         "--fault-max-attempts=2"]),
 ]
 
