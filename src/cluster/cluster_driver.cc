@@ -40,6 +40,34 @@ struct HandoffChain {
   bool has_partial = false;
 };
 
+// The handed-off half of a turn folded into its merged outcome.
+void AddHandoffHalf(const RequestOutcome& half, RequestOutcome* merged) {
+  merged->prefill_input_tokens += half.prefill_input_tokens;
+  merged->reused_gpu_tokens += half.reused_gpu_tokens;
+  merged->reused_cpu_tokens += half.reused_cpu_tokens;
+  merged->reused_ssd_tokens += half.reused_ssd_tokens;
+  merged->reused_shared_tokens += half.reused_shared_tokens;
+  merged->recomputed_tokens += half.recomputed_tokens;
+  merged->generated_tokens += half.generated_tokens;
+  merged->suspensions += half.suspensions;
+}
+
+// KV a dispatched request brings from replica `src`. An arrival passes
+// `from_router` instead: when the router re-homes its conversation away from
+// a live replica, the cached state there is exported after routing and
+// carried the same way.
+struct KvCarry {
+  int32_t src = -1;
+  MigratedKvState state;
+  bool from_router = false;
+
+  static KvCarry FromRouter() {
+    KvCarry carry;
+    carry.from_router = true;
+    return carry;
+  }
+};
+
 }  // namespace
 
 ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
@@ -143,6 +171,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
 
   std::vector<ReplicaView> views(replicas.size());
   auto snapshot_views = [&]() {
+    bool any_dispatchable = false;
     for (size_t i = 0; i < replicas.size(); ++i) {
       views[i].alive = replicas[i].alive();
       views[i].engine = views[i].alive ? &replicas[i].engine() : nullptr;
@@ -153,12 +182,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       // (session-affinity / --disagg=off) decisions are untouched.
       views[i].load.queued_uncached_prefill_tokens +=
           replicas[i].pending_request_tokens();
-    }
-    bool any_dispatchable = false;
-    for (size_t i = 0; i < replicas.size(); ++i) {
-      views[i].dispatchable =
-          views[i].alive && active[i] &&
-          !health.Quarantined(static_cast<int32_t>(i));
+      views[i].dispatchable = dispatchable(static_cast<int32_t>(i));
       any_dispatchable = any_dispatchable || views[i].dispatchable;
     }
     if (!any_dispatchable) {
@@ -179,16 +203,8 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     return false;
   };
 
-  // Routes `req` at virtual time `now` and delivers it to the chosen
-  // replica. `allow_migrate` is false for crash-rerouted requests: the KV
-  // they would have migrated died with their replica.
-  auto route_and_deliver = [&](const Request& req, double now,
-                               bool allow_migrate) {
-    if (!any_alive()) {
-      orphans.push_back(req);
-      ++faults.orphaned_requests;
-      return;
-    }
+  // Snapshots the replica views and asks the router where `req` runs.
+  auto route = [&](const Request& req) {
     snapshot_views();
     const RoutingDecision decision = router->Route(req, views);
     PENSIEVE_CHECK_GE(decision.target, 0);
@@ -196,7 +212,41 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     PENSIEVE_CHECK(views[static_cast<size_t>(decision.target)].alive)
         << router->name() << " routed request " << req.request_id
         << " to dead replica " << decision.target;
+    return decision;
+  };
 
+  // The one KV-loss bookkeeping step: a payload lost in transit or with a
+  // dead endpoint is charged to faults.lost_kv_tokens and, when given, to
+  // the losing path's failure and token counters, then zeroed in place. The
+  // conversation still reaches its new home, with bookkeeping only, and its
+  // history recomputes there through the dropped-prefix path.
+  auto lose_kv = [&](MigratedKvState& state, int64_t* failures,
+                     int64_t* lost_tokens) {
+    if (failures != nullptr) {
+      ++*failures;
+    }
+    if (lost_tokens != nullptr) {
+      *lost_tokens += state.resident_tokens;
+    }
+    faults.lost_kv_tokens += state.resident_tokens;
+    state.resident_tokens = 0;
+    state.bytes = 0.0;
+  };
+
+  // The one dispatch step (DESIGN.md §6): routes `req` at virtual time `now`
+  // and delivers it to the chosen replica, or orphans it while no replica is
+  // alive. A carried payload crosses the NIC from `carry.src` unless the
+  // request lands back there; the request cannot start before its KV lands
+  // (or the transfer is abandoned: either way it waits out every attempt).
+  // `landed_tokens`, when given, accumulates the carried tokens that arrive.
+  auto dispatch = [&](const Request& req, double now, KvCarry carry,
+                      int64_t* landed_tokens = nullptr) {
+    if (!any_alive()) {
+      orphans.push_back(req);
+      ++faults.orphaned_requests;
+      return;
+    }
+    const RoutingDecision decision = route(req);
     Replica::Delivery delivery;
     delivery.time = now;
     delivery.request = req;
@@ -210,8 +260,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
         // flight, so any existing chain belongs to an earlier incarnation
         // of this same turn (its prefill replica crashed before finishing).
         HandoffChain& chain = chains[req.conversation_id];
-        const bool keep_partial = chain.has_partial;
-        if (!keep_partial) {
+        if (!chain.has_partial) {
           chain.original = req;
           chain.original.prefill_only = false;
           chain.partial = RequestOutcome{};
@@ -221,219 +270,177 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
         ++handoff.colocated_requests;
       }
     }
-    if (allow_migrate && decision.migrate && decision.source >= 0 &&
+    if (carry.from_router && decision.migrate && decision.source >= 0 &&
         decision.source != decision.target &&
         replicas[static_cast<size_t>(decision.source)].alive()) {
-      Replica& source = replicas[static_cast<size_t>(decision.source)];
-      MigratedKvState state =
-          source.engine().ExportConversationState(req.conversation_id);
-      if (state.resident_tokens > 0) {
-        // The request cannot start at its new home before its KV lands (or
-        // the transfer is abandoned; either way it waits out every attempt).
-        const LinkTransferOutcome out = nic_faults.Transfer(
-            now, state.bytes, [&](double start, double bytes) {
-              return interconnect.ScheduleTransfer(decision.source,
-                                                   decision.target, start, bytes);
-            });
-        delivery.time = out.done;
-        delivery.migration_stall = out.done - now;
-        ++migration.migrations;
-        migration.migration_stall_seconds += delivery.migration_stall;
-        if (out.delivered) {
-          migration.migrated_bytes += state.bytes;
-        } else {
-          // KV lost in transit: the conversation is still re-homed, but
-          // arrives with bookkeeping only — its history recomputes at the
-          // destination through the dropped-prefix path.
-          ++migration.failed_migrations;
-          migration.kv_tokens_lost_in_transit += state.resident_tokens;
-          faults.lost_kv_tokens += state.resident_tokens;
-          state.resident_tokens = 0;
-          state.bytes = 0.0;
-        }
-      }
-      delivery.migrated = state;
+      carry.src = decision.source;
+      Engine& source = replicas[static_cast<size_t>(carry.src)].engine();
+      carry.state = source.ExportConversationState(req.conversation_id);
     }
-    replicas[static_cast<size_t>(decision.target)].Deliver(
-        std::move(delivery));
+    if (carry.state.resident_tokens > 0 && decision.target != carry.src) {
+      const LinkTransferOutcome out = nic_faults.Transfer(
+          now, carry.state.bytes, [&](double start, double bytes) {
+            return interconnect.ScheduleTransfer(carry.src, decision.target,
+                                                 start, bytes);
+          });
+      delivery.time = out.done;
+      delivery.migration_stall = out.done - now;
+      ++migration.migrations;
+      migration.migration_stall_seconds += delivery.migration_stall;
+      if (out.delivered) {
+        migration.migrated_bytes += carry.state.bytes;
+        if (landed_tokens != nullptr) {
+          *landed_tokens += carry.state.resident_tokens;
+        }
+      } else {
+        lose_kv(carry.state, &migration.failed_migrations,
+                &migration.kv_tokens_lost_in_transit);
+      }
+    }
+    delivery.migrated = carry.state;
+    replicas[static_cast<size_t>(decision.target)].Deliver(std::move(delivery));
   };
 
-  // Re-routes one delivery drained off a still-alive replica `src`
-  // (quarantine or scale-down retirement), hand-carrying its KV: an
-  // in-flight migrated payload is re-forwarded as is, otherwise the
-  // conversation's cached state is exported from `src`. The extra hop is
-  // charged on the NIC exactly like a router-initiated migration.
-  // `drained_kv_tokens` accumulates the tokens that reached a new home.
-  auto reroute_drained = [&](Replica::Delivery d, int32_t src, double now,
-                             int64_t* drained_kv_tokens) {
-    const double base = std::max(now, d.time);
-    if (!any_alive()) {
-      orphans.push_back(d.request);
-      ++faults.orphaned_requests;
-      return;
+  // The one re-homing path, shared by crash, quarantine and scale-down:
+  // drains replica `id` and dispatches everything it owed, each request at
+  // max(now, its delivery time). While `id` is alive a request carries its
+  // KV from there: an in-flight migrated payload as is, otherwise the
+  // conversation's cached state exported from `id`. Under disaggregation a
+  // request instead re-runs the handoff chain logic without a carry, its
+  // in-flight payload lost, as on the crash path. A crashed engine dies
+  // before anything re-routes; a retiring one only after every export.
+  // `landed_tokens` accumulates the carried tokens that reached a new home.
+  auto rehome = [&](int32_t id, double now, Replica::DrainMode mode,
+                    int64_t* landed_tokens) {
+    Replica& src = replicas[static_cast<size_t>(id)];
+    Replica::Drained drained = src.Drain(now, mode);
+    if (mode == Replica::DrainMode::kCrash) {
+      drained.left_kv_tokens += src.Retire();
     }
-    MigratedKvState state = d.migrated;
-    if (state.Empty() && replicas[static_cast<size_t>(src)].alive()) {
-      state = replicas[static_cast<size_t>(src)].engine().ExportConversationState(
-          d.request.conversation_id);
-      // A request drained mid-decode leaves KV for the tokens it had already
-      // generated this turn. That progress restarts from scratch at the new
-      // home (it is in lost_generated_tokens), so the trailing decode KV
-      // must not travel: the import would otherwise cover more raw history
-      // than the restarted request has.
-      const int64_t excess = state.kv_len - d.request.history_len;
-      if (excess > 0) {
-        const int64_t kept =
-            std::max<int64_t>(0, state.resident_tokens - excess);
-        if (state.resident_tokens > 0) {
-          state.bytes *= static_cast<double>(kept) /
-                         static_cast<double>(state.resident_tokens);
+    for (Replica::Delivery& d : drained.deliveries) {
+      KvCarry carry;
+      if (options.disagg.enabled) {
+        lose_kv(d.migrated, nullptr, nullptr);
+      } else if (src.alive()) {
+        carry.src = id;
+        carry.state = d.migrated;
+        if (carry.state.Empty()) {
+          carry.state =
+              src.engine().ExportConversationState(d.request.conversation_id);
+          // A request drained mid-decode leaves KV for the tokens it had
+          // already generated this turn. That progress restarts from
+          // scratch at the new home (it is in lost_generated_tokens), so
+          // the trailing decode KV must not travel: the import would
+          // otherwise cover more raw history than the restarted request has.
+          MigratedKvState& state = carry.state;
+          const int64_t excess = state.kv_len - d.request.history_len;
+          if (excess > 0) {
+            const int64_t kept =
+                std::max<int64_t>(0, state.resident_tokens - excess);
+            if (state.resident_tokens > 0) {
+              state.bytes *= static_cast<double>(kept) /
+                             static_cast<double>(state.resident_tokens);
+            }
+            state.kv_len = d.request.history_len;
+            state.resident_tokens = kept;
+          }
         }
-        state.kv_len = d.request.history_len;
-        state.resident_tokens = kept;
       }
+      dispatch(d.request, std::max(now, d.time), std::move(carry),
+               landed_tokens);
     }
-    snapshot_views();
-    const RoutingDecision decision = router->Route(d.request, views);
-    PENSIEVE_CHECK_GE(decision.target, 0);
-    PENSIEVE_CHECK_LT(decision.target, static_cast<int32_t>(replicas.size()));
-    PENSIEVE_CHECK(views[static_cast<size_t>(decision.target)].alive);
+    if (mode == Replica::DrainMode::kRetire) {
+      drained.left_kv_tokens += src.Retire();
+    }
+    return drained;
+  };
 
-    Replica::Delivery out;
-    out.time = base;
-    out.request = d.request;
-    if (state.resident_tokens > 0 && decision.target != src) {
-      const LinkTransferOutcome t = nic_faults.Transfer(
-          base, state.bytes, [&](double start, double bytes) {
-            return interconnect.ScheduleTransfer(src, decision.target, start,
-                                                 bytes);
-          });
-      out.time = t.done;
-      out.migration_stall = t.done - base;
-      ++migration.migrations;
-      migration.migration_stall_seconds += out.migration_stall;
-      if (t.delivered) {
-        migration.migrated_bytes += state.bytes;
-        *drained_kv_tokens += state.resident_tokens;
-      } else {
-        ++migration.failed_migrations;
-        migration.kv_tokens_lost_in_transit += state.resident_tokens;
-        faults.lost_kv_tokens += state.resident_tokens;
-        state.resident_tokens = 0;
-        state.bytes = 0.0;
+  // Voids the in-flight KV streams into replica `id`, and out of it when
+  // `outbound_too`. The arrival event still fires and delivers (or
+  // re-routes) the continuation with bookkeeping only, so the decode side
+  // degrades to dropped-prefix recompute instead of dropping the request.
+  // Returns the number of streams voided.
+  auto void_streams = [&](int32_t id, bool outbound_too) {
+    int64_t voided = 0;
+    for (HandoffStream& s : streams) {
+      if (s.arrived || s.cancelled || s.state.resident_tokens <= 0 ||
+          (s.dst != id && !(outbound_too && s.src == id))) {
+        continue;
       }
+      s.cancelled = true;
+      ++voided;
+      lose_kv(s.state, &handoff.failed_streams, &handoff.kv_tokens_lost);
     }
-    out.migrated = state;
-    replicas[static_cast<size_t>(decision.target)].Deliver(std::move(out));
+    return voided;
   };
 
   auto handle_fail = [&](const SimEvent& event) {
-    Replica& victim = replicas[static_cast<size_t>(event.id)];
-    if (!victim.alive()) {
-      PENSIEVE_LOG_WARNING << "fail event for already-dead replica "
-                           << event.id << " at t=" << event.time << "; ignored";
+    const int32_t id = static_cast<int32_t>(event.id);
+    if (!replicas[static_cast<size_t>(id)].alive()) {
+      PENSIEVE_LOG_WARNING << "fail event for already-dead replica " << id
+                           << " at t=" << event.time << "; ignored";
       return;
     }
     // The router forgets the replica first so re-routed (and all future)
     // requests pick an alive home.
-    router->NotifyReplicaDown(static_cast<int32_t>(event.id));
+    router->NotifyReplicaDown(id);
     // Probe history dies with the replica; it restarts healthy on recovery.
-    health.Reset(static_cast<int32_t>(event.id));
-    Replica::FailureDrain drain = victim.Fail(event.time);
+    health.Reset(id);
+    const Replica::Drained drained =
+        rehome(id, event.time, Replica::DrainMode::kCrash, nullptr);
     ++faults.failures;
-    faults.lost_kv_tokens += drain.lost_kv_tokens;
-    faults.lost_generated_tokens += drain.lost_generated_tokens;
-    faults.rerouted_requests += static_cast<int64_t>(drain.deliveries.size());
-    for (const Replica::Delivery& d : drain.deliveries) {
-      route_and_deliver(d.request, event.time, /*allow_migrate=*/false);
-    }
-    // KV streams touching the dead replica die mid-flight: the payload is
-    // voided here, but the arrival event still fires and delivers (or
-    // re-routes) the continuation with bookkeeping only, so the decode side
-    // degrades to dropped-prefix recompute instead of dropping the request.
-    for (HandoffStream& s : streams) {
-      if (s.arrived || s.cancelled || s.state.resident_tokens <= 0) {
-        continue;
-      }
-      if (s.src != static_cast<int32_t>(event.id) &&
-          s.dst != static_cast<int32_t>(event.id)) {
-        continue;
-      }
-      s.cancelled = true;
-      ++handoff.failed_streams;
-      handoff.kv_tokens_lost += s.state.resident_tokens;
-      faults.lost_kv_tokens += s.state.resident_tokens;
-      s.state.resident_tokens = 0;
-      s.state.bytes = 0.0;
+    faults.lost_kv_tokens += drained.left_kv_tokens;
+    faults.lost_generated_tokens += drained.lost_generated_tokens;
+    faults.rerouted_requests += static_cast<int64_t>(drained.deliveries.size());
+    // KV streams touching the dead replica die mid-flight.
+    void_streams(id, /*outbound_too=*/true);
+  };
+
+  // Brings slot `id` back with a fresh, empty engine, in the active set and
+  // healthy, and dispatches the requests stranded while no replica could
+  // take them.
+  auto revive = [&](int32_t id, double now) {
+    replicas[static_cast<size_t>(id)].Recover(make_engine(id), now);
+    router->NotifyReplicaUp(id);
+    health.Reset(id);
+    active[static_cast<size_t>(id)] = true;
+    std::vector<Request> stranded;
+    stranded.swap(orphans);
+    for (const Request& req : stranded) {
+      dispatch(req, now, KvCarry{});
     }
   };
 
   auto handle_recover = [&](const SimEvent& event) {
-    Replica& replica = replicas[static_cast<size_t>(event.id)];
-    if (replica.alive()) {
-      PENSIEVE_LOG_WARNING << "recover event for alive replica " << event.id
+    const int32_t id = static_cast<int32_t>(event.id);
+    if (replicas[static_cast<size_t>(id)].alive()) {
+      PENSIEVE_LOG_WARNING << "recover event for alive replica " << id
                            << " at t=" << event.time << "; ignored";
       return;
     }
-    replica.Recover(make_engine(static_cast<int32_t>(event.id)), event.time);
-    router->NotifyReplicaUp(static_cast<int32_t>(event.id));
-    health.Reset(static_cast<int32_t>(event.id));
     // A scheduled recovery targeting a dormant/retired slot puts it back in
     // the active set (it is serving now, whatever the autoscaler thinks).
-    active[static_cast<size_t>(event.id)] = true;
+    revive(id, event.time);
     ++faults.recoveries;
-    // Requests stranded while the whole cluster was down run here.
-    std::vector<Request> stranded;
-    stranded.swap(orphans);
-    for (const Request& req : stranded) {
-      route_and_deliver(req, event.time, /*allow_migrate=*/false);
-    }
   };
 
   // Quarantine: the replica is alive but failing probes. It leaves the
-  // dispatch set, and everything it still owes is proactively drained over
-  // the migration path — requests re-route with their KV hand-carried, so
-  // a later hard failure of this replica destroys far less.
+  // dispatch set, and everything it still owes is proactively re-homed with
+  // its KV, so a later hard failure of this replica destroys far less.
   auto quarantine_replica = [&](int32_t id, double now) {
     router->NotifyReplicaDown(id);
-    Replica& victim = replicas[static_cast<size_t>(id)];
-    if (!victim.alive()) {
+    if (!replicas[static_cast<size_t>(id)].alive()) {
       return;  // already down; the failure path drained it
     }
     HealthStats& hs = health.stats();
-    Replica::LiveDrain drain = victim.DrainLive(now, /*keep_state_only=*/true);
-    hs.drained_requests += static_cast<int64_t>(drain.deliveries.size());
-    hs.lost_generated_tokens += drain.lost_generated_tokens;
-    for (Replica::Delivery& d : drain.deliveries) {
-      if (options.disagg.enabled) {
-        // Disagg re-dispatch must re-run the handoff chain logic; the
-        // request re-routes without a KV carry (any in-flight payload is
-        // voided, mirroring the crash path).
-        if (!d.migrated.Empty()) {
-          faults.lost_kv_tokens += d.migrated.resident_tokens;
-        }
-        route_and_deliver(d.request, std::max(now, d.time),
-                          /*allow_migrate=*/false);
-      } else {
-        reroute_drained(std::move(d), id, now, &hs.drained_kv_tokens);
-      }
-    }
+    const Replica::Drained drained =
+        rehome(id, now, Replica::DrainMode::kQuarantine, &hs.drained_kv_tokens);
+    hs.drained_requests += static_cast<int64_t>(drained.deliveries.size());
+    hs.lost_generated_tokens += drained.lost_generated_tokens;
     // KV streams aimed at the quarantined replica are voided — their payload
     // would land on a sick target. The source side of a stream stays: the
     // quarantined replica is alive and keeps streaming what it already owes.
-    for (HandoffStream& s : streams) {
-      if (s.arrived || s.cancelled || s.state.resident_tokens <= 0 ||
-          s.dst != id) {
-        continue;
-      }
-      s.cancelled = true;
-      ++handoff.failed_streams;
-      ++hs.voided_streams;
-      handoff.kv_tokens_lost += s.state.resident_tokens;
-      faults.lost_kv_tokens += s.state.resident_tokens;
-      s.state.resident_tokens = 0;
-      s.state.bytes = 0.0;
-    }
+    hs.voided_streams += void_streams(id, /*outbound_too=*/false);
   };
 
   // True while re-arming a control-plane timer could still matter: any
@@ -506,7 +513,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     }
   };
 
-  auto scale_up = [&](double now, int64_t signal_tokens, double p99) {
+  auto scale_up = [&](double now, int64_t signal_tokens) {
     int32_t slot = -1;
     for (int32_t i = 0; i < static_cast<int32_t>(replicas.size()); ++i) {
       if (!active[static_cast<size_t>(i)]) {
@@ -517,23 +524,14 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     if (slot < 0) {
       return;  // crashed-but-active replicas keep their slots
     }
-    replicas[static_cast<size_t>(slot)].Recover(make_engine(slot), now);
-    active[static_cast<size_t>(slot)] = true;
-    health.Reset(slot);
-    router->NotifyReplicaUp(slot);
+    revive(slot, now);
     ++autoscale_stats.scale_ups;
     autoscale_stats.events.push_back(
-        ScaleEvent{now, slot, /*up=*/true, signal_tokens, p99});
+        ScaleEvent{now, slot, /*up=*/true, signal_tokens});
     scaler.NoteScaled(now);
-    // Work stranded while the active set was empty runs here.
-    std::vector<Request> stranded;
-    stranded.swap(orphans);
-    for (const Request& req : stranded) {
-      route_and_deliver(req, now, /*allow_migrate=*/false);
-    }
   };
 
-  auto scale_down = [&](double now, int64_t signal_tokens, double p99) {
+  auto scale_down = [&](double now, int64_t signal_tokens) {
     int32_t victim = -1;
     for (int32_t i = static_cast<int32_t>(replicas.size()) - 1; i >= 0; --i) {
       if (active[static_cast<size_t>(i)] &&
@@ -559,23 +557,19 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     }
     router->NotifyReplicaDown(victim);
     active[static_cast<size_t>(victim)] = false;
-    Replica& r = replicas[static_cast<size_t>(victim)];
-    Replica::LiveDrain drain = r.DrainLive(now, /*keep_state_only=*/false);
+    const Replica::Drained drained = rehome(
+        victim, now, Replica::DrainMode::kRetire,
+        &autoscale_stats.drained_kv_tokens);
     autoscale_stats.drained_requests +=
-        static_cast<int64_t>(drain.deliveries.size());
-    autoscale_stats.lost_generated_tokens += drain.lost_generated_tokens;
-    // State-only payloads discarded with the retiring replica are a
-    // deliberate release, not a fault.
-    autoscale_stats.released_kv_tokens += drain.dropped_state_tokens;
-    for (Replica::Delivery& d : drain.deliveries) {
-      reroute_drained(std::move(d), victim, now,
-                      &autoscale_stats.drained_kv_tokens);
-    }
-    autoscale_stats.released_kv_tokens += r.Retire(now);
+        static_cast<int64_t>(drained.deliveries.size());
+    autoscale_stats.lost_generated_tokens += drained.lost_generated_tokens;
+    // KV-only payloads and the idle cache discarded with the retiring
+    // replica are a deliberate release, not a fault.
+    autoscale_stats.released_kv_tokens += drained.left_kv_tokens;
     health.Reset(victim);
     ++autoscale_stats.scale_downs;
     autoscale_stats.events.push_back(
-        ScaleEvent{now, victim, /*up=*/false, signal_tokens, p99});
+        ScaleEvent{now, victim, /*up=*/false, signal_tokens});
     scaler.NoteScaled(now);
   };
 
@@ -590,21 +584,20 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
         ++n_active;
       }
     }
-    const double p99 = scaler.RecentP99();
     const int64_t per_replica =
         n_active > 0 ? total_weighted / n_active : total_weighted;
     if (n_active < elastic.autoscale.min_replicas) {
       // Below the floor (crashes ate into the active set): restore it
       // immediately, cooldown notwithstanding — this is a safety floor, not
       // a load decision.
-      scale_up(now, per_replica, p99);
+      scale_up(now, per_replica);
     } else {
       switch (scaler.Decide(now, total_weighted, n_active)) {
         case Autoscaler::Decision::kUp:
-          scale_up(now, per_replica, p99);
+          scale_up(now, per_replica);
           break;
         case Autoscaler::Decision::kDown:
-          scale_down(now, per_replica, p99);
+          scale_down(now, per_replica);
           break;
         case Autoscaler::Decision::kHold:
           break;
@@ -621,6 +614,15 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     }
   };
 
+  // A request's end-to-end outcome is final: report it and schedule the
+  // conversation's next turn after the user's think time.
+  auto complete = [&](const RequestOutcome& outcome) {
+    if (options.outcomes != nullptr) {
+      options.outcomes->push_back(outcome);
+    }
+    arrivals.OnRequestFinished(outcome);
+  };
+
   // Merges the prefill- and decode-side halves of a handed-off turn into
   // one end-to-end outcome and records it on the finishing replica.
   // `decode_half` is null for single-token responses that finished entirely
@@ -634,24 +636,11 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     merged.request = it->second.original;
     merged.finish_time = finish_time;
     if (decode_half != nullptr) {
-      merged.prefill_input_tokens += decode_half->prefill_input_tokens;
-      merged.reused_gpu_tokens += decode_half->reused_gpu_tokens;
-      merged.reused_cpu_tokens += decode_half->reused_cpu_tokens;
-      merged.reused_ssd_tokens += decode_half->reused_ssd_tokens;
-      merged.reused_shared_tokens += decode_half->reused_shared_tokens;
-      merged.recomputed_tokens += decode_half->recomputed_tokens;
-      merged.generated_tokens += decode_half->generated_tokens;
-      merged.suspensions += decode_half->suspensions;
+      AddHandoffHalf(*decode_half, &merged);
       merged.decode_admit_time = decode_half->first_scheduled_time;
     }
     replicas[static_cast<size_t>(finishing_replica)].RecordOutcome(merged);
-    if (elastic.autoscale.enabled && merged.request.target_output_len > 0) {
-      scaler.RecordFinish(merged.NormalizedLatency());
-    }
-    if (options.outcomes != nullptr) {
-      options.outcomes->push_back(merged);
-    }
-    arrivals.OnRequestFinished(merged);
+    complete(merged);
     chains.erase(it);
   };
 
@@ -673,14 +662,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       chain.partial.prefill_replica = p;
       chain.has_partial = true;
     }
-    chain.partial.prefill_input_tokens += outcome.prefill_input_tokens;
-    chain.partial.reused_gpu_tokens += outcome.reused_gpu_tokens;
-    chain.partial.reused_cpu_tokens += outcome.reused_cpu_tokens;
-    chain.partial.reused_ssd_tokens += outcome.reused_ssd_tokens;
-    chain.partial.reused_shared_tokens += outcome.reused_shared_tokens;
-    chain.partial.recomputed_tokens += outcome.recomputed_tokens;
-    chain.partial.generated_tokens += outcome.generated_tokens;
-    chain.partial.suspensions += outcome.suspensions;
+    AddHandoffHalf(outcome, &chain.partial);
 
     // The decode-side remainder: the prefill side emitted the first output
     // token, which becomes the continuation's one-token "prompt".
@@ -696,35 +678,21 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     // stream below (if any) only places KV for the conversation's next turn.
     const bool state_only = cont.target_output_len <= 0;
 
-    snapshot_views();
-    const RoutingDecision decision = router->Route(cont, views);
-    const int32_t d = decision.target;
-    PENSIEVE_CHECK_GE(d, 0);
-    PENSIEVE_CHECK_LT(d, static_cast<int32_t>(replicas.size()));
-
-    Replica& prefiller = replicas[static_cast<size_t>(p)];
-    if (d == p) {
-      // Decode pool routed back onto the prefill replica (pool dead): the
-      // KV is already resident here, no wire transfer.
-      ++handoff.local_handoffs;
-      if (state_only) {
-        finish_chain(conv, nullptr, p, outcome.finish_time);
-        return;
-      }
-      Replica::Delivery delivery;
-      delivery.time = outcome.finish_time;
-      delivery.request = cont;
-      prefiller.Deliver(std::move(delivery));
-      return;
-    }
-
-    MigratedKvState state = prefiller.engine().ExportConversationState(conv);
+    const int32_t d = route(cont).target;
     // The stream writes layer by layer into the decode GPU's KV pool; no
     // host->device restore is owed when the continuation admits.
-    state.gpu_direct = true;
+    MigratedKvState state;
+    if (d != p) {
+      state = replicas[static_cast<size_t>(p)].engine().ExportConversationState(
+          conv);
+      state.gpu_direct = true;
+    }
     if (state.resident_tokens <= 0) {
-      // Nothing resident to stream (evicted under pressure mid-prefill);
-      // the decode side recomputes the whole prefix.
+      // Local handoff, no wire transfer: the decode pool routed back onto
+      // the prefill replica (pool dead), where the KV is already resident,
+      // or nothing was resident to stream (evicted under pressure
+      // mid-prefill) and the decode side recomputes the whole prefix from
+      // the kv_len bookkeeping.
       ++handoff.local_handoffs;
       if (state_only) {
         finish_chain(conv, nullptr, p, outcome.finish_time);
@@ -733,7 +701,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       Replica::Delivery delivery;
       delivery.time = outcome.finish_time;
       delivery.request = cont;
-      delivery.migrated = state;  // kv_len bookkeeping only
+      delivery.migrated = state;
       replicas[static_cast<size_t>(d)].Deliver(std::move(delivery));
       return;
     }
@@ -755,11 +723,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       handoff.stream_wait_seconds +=
           std::max(0.0, stream.done - outcome.finish_time);
     } else {
-      ++handoff.failed_streams;
-      handoff.kv_tokens_lost += state.resident_tokens;
-      faults.lost_kv_tokens += state.resident_tokens;
-      state.resident_tokens = 0;
-      state.bytes = 0.0;
+      lose_kv(state, &handoff.failed_streams, &handoff.kv_tokens_lost);
     }
     chain.partial.handoff_stream_done = stream.done;
     if (state_only) {
@@ -789,21 +753,22 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
     s.arrived = true;
     Replica& dst = replicas[static_cast<size_t>(s.dst)];
     if (s.state_only) {
-      if (dst.alive() && s.state.resident_tokens > 0) {
-        Replica::Delivery delivery;
-        delivery.time = event.time;
-        delivery.request.conversation_id = s.conversation_id;
-        delivery.migrated = s.state;
-        delivery.state_only = true;
-        handoff.streamed_tokens += s.state.resident_tokens;
-        dst.Deliver(std::move(delivery));
-      } else if (!dst.alive() && s.state.resident_tokens > 0) {
+      if (s.state.resident_tokens <= 0) {
+        return;
+      }
+      if (!dst.alive()) {
         // Landed on a corpse (the failure that would have voided the
         // payload hit after our send completed): the KV is simply lost.
-        ++handoff.failed_streams;
-        handoff.kv_tokens_lost += s.state.resident_tokens;
-        faults.lost_kv_tokens += s.state.resident_tokens;
+        lose_kv(s.state, &handoff.failed_streams, &handoff.kv_tokens_lost);
+        return;
       }
+      Replica::Delivery delivery;
+      delivery.time = event.time;
+      delivery.request.conversation_id = s.conversation_id;
+      delivery.migrated = s.state;
+      delivery.state_only = true;
+      handoff.streamed_tokens += s.state.resident_tokens;
+      dst.Deliver(std::move(delivery));
       return;
     }
     if (!dst.alive() || !dispatchable(s.dst)) {
@@ -811,7 +776,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       // in flight; the payload was voided at fail/quarantine time, and the
       // continuation re-routes afresh (degrading to recompute, never
       // dropping the request).
-      route_and_deliver(s.continuation, event.time, /*allow_migrate=*/false);
+      dispatch(s.continuation, event.time, KvCarry{});
       return;
     }
     Replica::Delivery delivery;
@@ -855,8 +820,8 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       const SimEvent event = events.Pop();
       switch (event.kind) {
         case SimEventKind::kArrival:
-          route_and_deliver(arrivals.BuildRequest(event), event.time,
-                            /*allow_migrate=*/true);
+          dispatch(arrivals.BuildRequest(event), event.time,
+                   KvCarry::FromRouter());
           break;
         case SimEventKind::kReplicaFail:
           handle_fail(event);
@@ -896,14 +861,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
                      outcome.finish_time);
         continue;
       }
-      if (elastic.autoscale.enabled && outcome.request.target_output_len > 0) {
-        scaler.RecordFinish(outcome.NormalizedLatency());
-      }
-      if (options.outcomes != nullptr) {
-        options.outcomes->push_back(outcome);
-      }
-      // Schedule the conversation's next turn after the user's think time.
-      arrivals.OnRequestFinished(outcome);
+      complete(outcome);
     }
     ++total_steps;
     if (options.max_steps > 0 && total_steps >= options.max_steps) {
@@ -936,6 +894,7 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
   ClusterSummary summary;
   summary.router_name = router->name();
   summary.num_replicas = options.num_replicas;
+  summary.migration = migration;
   std::vector<const MetricsCollector*> collectors;
   collectors.reserve(replicas.size());
   for (const Replica& r : replicas) {
@@ -951,12 +910,6 @@ ClusterSummary RunClusterExperiment(const ReplicaEngineFactory& make_engine,
       collectors, std::string("cluster/") + router->name(), global_last_finish,
       CombineEngineStats(summary.replicas), window.begin, window.end);
   summary.load_imbalance = LoadImbalance(summary.replicas);
-  summary.migration.migrations = migration.migrations;
-  summary.migration.migrated_bytes = migration.migrated_bytes;
-  summary.migration.migration_stall_seconds = migration.migration_stall_seconds;
-  summary.migration.failed_migrations = migration.failed_migrations;
-  summary.migration.kv_tokens_lost_in_transit =
-      migration.kv_tokens_lost_in_transit;
   summary.migration.rehomes = router->counters().rehomes;
   summary.migration.overload_queued = router->counters().overload_queued;
   summary.faults = faults;

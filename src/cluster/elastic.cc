@@ -1,7 +1,5 @@
 #include "src/cluster/elastic.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "src/common/logging.h"
@@ -102,33 +100,7 @@ Autoscaler::Autoscaler(const AutoscaleOptions& options) : options_(options) {
     PENSIEVE_CHECK_GE(options_.cooldown, 0.0);
     PENSIEVE_CHECK_GT(options_.up_queue_tokens, options_.down_queue_tokens)
         << "autoscale thresholds need a hysteresis band";
-    PENSIEVE_CHECK_GE(options_.latency_window, 1);
   }
-}
-
-void Autoscaler::RecordFinish(double normalized_latency) {
-  if (!options_.enabled) {
-    return;
-  }
-  const size_t cap = static_cast<size_t>(options_.latency_window);
-  if (window_.size() < cap) {
-    window_.push_back(normalized_latency);
-  } else {
-    window_[window_next_ % cap] = normalized_latency;
-  }
-  ++window_next_;
-}
-
-double Autoscaler::RecentP99() const {
-  if (window_.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted = window_;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx = static_cast<size_t>(
-      std::min<double>(static_cast<double>(sorted.size()) - 1.0,
-                       std::ceil(0.99 * static_cast<double>(sorted.size())) - 1.0));
-  return sorted[idx];
 }
 
 Autoscaler::Decision Autoscaler::Decide(double now,
@@ -142,14 +114,11 @@ Autoscaler::Decision Autoscaler::Decide(double now,
   }
   const int64_t per_replica =
       total_weighted_tokens / static_cast<int64_t>(active_replicas);
-  const double p99 = options_.up_p99_latency > 0.0 ? RecentP99() : 0.0;
-  const bool latency_hot =
-      options_.up_p99_latency > 0.0 && p99 > options_.up_p99_latency;
-  if ((per_replica > options_.up_queue_tokens || latency_hot) &&
+  if (per_replica > options_.up_queue_tokens &&
       active_replicas < options_.max_replicas) {
     return Decision::kUp;
   }
-  if (per_replica < options_.down_queue_tokens && !latency_hot &&
+  if (per_replica < options_.down_queue_tokens &&
       active_replicas > options_.min_replicas) {
     return Decision::kDown;
   }

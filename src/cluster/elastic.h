@@ -10,10 +10,10 @@
 //    alive, so its conversations drain over the ordinary migration path
 //    instead of dying with it when it hard-fails.
 //
-//  * Autoscaler — grows/shrinks the active replica set mid-run from
-//    queue-depth and p99-normalized-latency signals with cooldown
-//    hysteresis. A retiring replica drains its decode homes before its
-//    engine is destroyed, so scale-down never drops a request.
+//  * Autoscaler — grows/shrinks the active replica set mid-run from a
+//    queue-depth signal with cooldown hysteresis. A retiring replica drains
+//    its decode homes before its engine is destroyed, so scale-down never
+//    drops a request.
 //
 // The idiom follows the source-list + failure-tracking + sync-to-healthy
 // structure of classic replicated-source clients: probe everything, count
@@ -144,15 +144,10 @@ struct AutoscaleOptions {
   // decision must survive the cooldown before the next one is considered).
   double cooldown = 10.0;
   // Queue-depth signal: mean outstanding weighted tokens per active replica.
-  // Above up_queue_tokens -> grow; below down_queue_tokens (with the latency
-  // signal also calm) -> shrink. The gap is the hysteresis band.
+  // Above up_queue_tokens -> grow; below down_queue_tokens -> shrink. The
+  // gap is the hysteresis band.
   int64_t up_queue_tokens = 4096;
   int64_t down_queue_tokens = 512;
-  // Latency signal: p99 of recent normalized latencies (s/token). 0 disables
-  // the signal and scaling decisions use queue depth alone.
-  double up_p99_latency = 0.0;
-  // Ring-buffer size of the recent-latency window feeding the p99 estimate.
-  int32_t latency_window = 128;
 };
 
 struct ScaleEvent {
@@ -160,7 +155,6 @@ struct ScaleEvent {
   int32_t replica_id = -1;
   bool up = false;
   int64_t queue_tokens_per_replica = 0;  // the signal that triggered it
-  double p99_latency = 0.0;
 };
 
 struct AutoscaleStats {
@@ -178,7 +172,7 @@ struct AutoscaleStats {
   std::vector<ScaleEvent> events;
 };
 
-// Queue-depth / p99-latency scaling policy with cooldown hysteresis.
+// Queue-depth scaling policy with cooldown hysteresis.
 class Autoscaler {
  public:
   enum class Decision { kHold, kUp, kDown };
@@ -188,9 +182,6 @@ class Autoscaler {
   bool enabled() const { return options_.enabled; }
   const AutoscaleOptions& options() const { return options_; }
 
-  // Feeds one finished request's normalized latency into the p99 window.
-  void RecordFinish(double normalized_latency);
-
   // One evaluation at time `now` over the active set's total outstanding
   // weighted tokens. Pure decision; the driver performs the scale and calls
   // NoteScaled when it actually happened.
@@ -199,13 +190,8 @@ class Autoscaler {
 
   void NoteScaled(double now) { last_scale_time_ = now; }
 
-  // p99 of the recent-latency window (0 while empty).
-  double RecentP99() const;
-
  private:
   AutoscaleOptions options_;
-  std::vector<double> window_;
-  size_t window_next_ = 0;
   double last_scale_time_ = -1e300;
 };
 

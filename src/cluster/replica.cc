@@ -37,92 +37,57 @@ EngineStats Replica::stats() const {
   return combined;
 }
 
-Replica::FailureDrain Replica::Fail(double now) {
-  PENSIEVE_CHECK(alive()) << "replica " << id_ << " failed while already down";
+Replica::Drained Replica::Drain(double now, DrainMode mode) {
+  PENSIEVE_CHECK(alive()) << "drain of dead replica " << id_;
   clock_.AdvanceTo(std::max(clock_.now(), now));
-  FailureDrain drain;
-  drain.lost_kv_tokens = engine_->TotalCachedTokens();
+  Drained drained;
 
-  // In-flight deliveries die with the replica; their requests must be
-  // re-routed, but any migrated KV riding along is lost in transit.
-  while (!pending_.empty()) {
-    Delivery d = pending_.top();
-    pending_.pop();
-    drain.lost_kv_tokens += d.migrated.resident_tokens;
-    if (d.state_only) {
-      // A KV-only handoff payload has no request to re-route; the
-      // conversation simply recomputes wherever its next turn lands.
-      continue;
-    }
-    d.migrated = MigratedKvState{};
-    d.migration_stall = 0.0;
-    d.time = now;
-    drain.deliveries.push_back(std::move(d));
-  }
-  DrainedWork work = engine_->DrainUnfinished();
-  drain.lost_generated_tokens = work.lost_generated_tokens;
-  for (Request& req : work.requests) {
-    Delivery d;
-    d.time = now;
-    d.request = req;
-    drain.deliveries.push_back(std::move(d));
-  }
-  // Re-route in arrival order regardless of whether the request was still in
-  // transit or already queued/running.
-  std::sort(drain.deliveries.begin(), drain.deliveries.end(),
-            [](const Delivery& a, const Delivery& b) {
-              return a.request.request_id < b.request.request_id;
-            });
-
-  retired_stats_ += engine_->stats();
-  engine_.reset();
-  stalled_ = false;
-  pending_request_tokens_ = 0;
-  return drain;
-}
-
-Replica::LiveDrain Replica::DrainLive(double now, bool keep_state_only) {
-  PENSIEVE_CHECK(alive()) << "live drain on dead replica " << id_;
-  clock_.AdvanceTo(std::max(clock_.now(), now));
-  LiveDrain drain;
-
-  // Undelivered deliveries survive intact: the replica is alive, so nothing
-  // in transit is lost — migrated payloads ride along to the new home. A
-  // delivery's original arrival time is preserved; the driver re-routes at
-  // max(now, d.time).
+  // A KV-only payload has no request to re-home: a quarantined replica
+  // keeps it, otherwise it stays behind and the conversation recomputes
+  // wherever its next turn lands. A live drain keeps each delivery's
+  // original arrival time; the driver re-routes at max(now, d.time).
   std::vector<Delivery> keep;
   while (!pending_.empty()) {
     Delivery d = pending_.top();
     pending_.pop();
     if (d.state_only) {
-      if (keep_state_only) {
+      if (mode == DrainMode::kQuarantine) {
         keep.push_back(std::move(d));
       } else {
-        drain.dropped_state_tokens += d.migrated.resident_tokens;
+        drained.left_kv_tokens += d.migrated.resident_tokens;
       }
       continue;
     }
-    drain.deliveries.push_back(std::move(d));
+    if (mode == DrainMode::kCrash) {
+      drained.left_kv_tokens += d.migrated.resident_tokens;
+      d.migrated = MigratedKvState{};
+      d.migration_stall = 0.0;
+      d.time = now;
+    }
+    drained.deliveries.push_back(std::move(d));
   }
   pending_request_tokens_ = 0;
   for (Delivery& d : keep) {
     Deliver(std::move(d));
   }
 
-  DrainedWork work = engine_->DrainForRehome();
-  drain.lost_generated_tokens = work.lost_generated_tokens;
+  DrainedWork work = mode == DrainMode::kCrash ? engine_->DrainUnfinished()
+                                               : engine_->DrainForRehome();
+  drained.lost_generated_tokens = work.lost_generated_tokens;
   for (Request& req : work.requests) {
     Delivery d;
     d.time = now;
     d.request = req;
-    drain.deliveries.push_back(std::move(d));
+    drained.deliveries.push_back(std::move(d));
   }
-  std::sort(drain.deliveries.begin(), drain.deliveries.end(),
+  // Re-route in arrival order regardless of whether the request was still in
+  // transit or already queued/running.
+  std::sort(drained.deliveries.begin(), drained.deliveries.end(),
             [](const Delivery& a, const Delivery& b) {
               return a.request.request_id < b.request.request_id;
             });
   stalled_ = false;
-  return drain;
+  return drained;
 }
 
 void Replica::Dormant() {
@@ -134,17 +99,14 @@ void Replica::Dormant() {
   engine_.reset();
 }
 
-int64_t Replica::Retire(double now) {
+int64_t Replica::Retire() {
   PENSIEVE_CHECK(alive()) << "retiring dead replica " << id_;
-  PENSIEVE_CHECK(pending_.empty())
-      << "replica " << id_ << " retired with deliveries pending";
-  clock_.AdvanceTo(std::max(clock_.now(), now));
-  const int64_t released = engine_->TotalCachedTokens();
+  PENSIEVE_CHECK(pending_.empty() && !engine_->HasWork())
+      << "replica " << id_ << " retired undrained";
+  const int64_t cached = engine_->TotalCachedTokens();
   retired_stats_ += engine_->stats();
   engine_.reset();
-  stalled_ = false;
-  pending_request_tokens_ = 0;
-  return released;
+  return cached;
 }
 
 void Replica::Recover(std::unique_ptr<Engine> engine, double now) {

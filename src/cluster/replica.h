@@ -45,28 +45,22 @@ class Replica {
     StepResult result;
   };
 
-  // Everything a failing replica loses: the requests it still owed (queued
-  // deliveries plus the engine's queued/running requests, stripped of any
-  // in-flight migrated KV), the resident KV destroyed, and the decode
-  // progress thrown away.
-  struct FailureDrain {
-    std::vector<Delivery> deliveries;
-    int64_t lost_kv_tokens = 0;
-    int64_t lost_generated_tokens = 0;
+  // Why a replica is drained. Every drain hands back the requests the
+  // replica still owed; the mode decides what happens to the KV in transit
+  // to it and to its engine's admission state.
+  enum class DrainMode {
+    kCrash,       // the engine dies next: in-transit KV dies with it
+    kRetire,      // scale-down: the engine is retired once its KV is exported
+    kQuarantine,  // the replica keeps serving and keeps its KV-only payloads
   };
 
-  // What a *live* drain hands back: unlike Fail, the replica (and its engine)
-  // stays up, so in-flight migrated payloads survive inside their deliveries
-  // and the engine's cached KV is still exportable afterwards. Used for
-  // quarantine drains (keep_state_only=true: state-only KV deliveries are
-  // left in place, the replica keeps serving as a cache donor) and for
-  // scale-down retirement (keep_state_only=false: state-only payloads are
-  // dropped and counted, the replica is about to be destroyed).
-  struct LiveDrain {
+  // What a drain hands back: the owed requests in request-id order, the
+  // decode progress they restart elsewhere, and the in-transit KV left
+  // behind (KV-only payloads, and on a crash every migrated payload).
+  struct Drained {
     std::vector<Delivery> deliveries;
     int64_t lost_generated_tokens = 0;
-    // Tokens of state-only KV deliveries discarded (retirement path only).
-    int64_t dropped_state_tokens = 0;
+    int64_t left_kv_tokens = 0;
   };
 
   Replica(int32_t id, std::unique_ptr<Engine> engine);
@@ -82,30 +76,26 @@ class Replica {
   // stats from engines destroyed by failures plus the current engine's.
   EngineStats stats() const;
 
-  // Crash at virtual time `now`: destroys the engine (all KV and progress
-  // lost), retires its stats, and hands back the unfinished work for the
-  // driver to re-route. The replica stops reporting events until Recover.
-  FailureDrain Fail(double now);
-
   // Rejoins with a fresh (empty) engine at virtual time `now`.
   void Recover(std::unique_ptr<Engine> engine, double now);
 
-  // Drains every pending request off a replica that stays alive: undelivered
-  // deliveries keep their migrated payloads (the driver re-forwards them),
-  // and the engine's queued/running requests are unpinned and handed back
-  // via DrainForRehome. The engine keeps its cached KV so the driver can
-  // still ExportConversationState from it. With keep_state_only, state-only
-  // KV deliveries are re-queued locally instead of drained.
-  LiveDrain DrainLive(double now, bool keep_state_only);
+  // The one drain, shared by crash, quarantine and scale-down: takes every
+  // pending request off the replica at virtual time `now`, both the
+  // undelivered deliveries and the engine's queued/running requests.
+  // Deliveries keep their migrated payloads (the driver carries them on)
+  // except on a crash. A live drain (kRetire, kQuarantine) unwinds the
+  // engine's admission state via DrainForRehome, so its cached KV stays
+  // exportable; the engine itself stays up until Retire.
+  Drained Drain(double now, DrainMode mode);
 
   // Initial autoscale slot that never served: drops the engine without
   // retiring stats. Only legal before any work was delivered.
   void Dormant();
 
-  // Graceful scale-down destruction: requires an already-drained replica
-  // (no pending deliveries). Retires the engine's stats and returns the KV
-  // tokens released with it.
-  int64_t Retire(double now);
+  // Destroys the engine of a drained replica, retires its stats and returns
+  // the KV tokens its cache still held: lost on a crash, released on
+  // scale-down. The replica stops reporting events until Recover.
+  int64_t Retire();
 
   void Deliver(Delivery delivery);
 

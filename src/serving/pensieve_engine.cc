@@ -76,7 +76,7 @@ PensieveEngine::PensieveEngine(const GpuCostModel& cost_model,
                      auto it = inflight_.find(conv);
                      return it == inflight_.end() || it->second == 0;
                    }),
-      link_(cost_model.hardware().num_gpus, cost_model.hardware().pcie_bandwidth,
+      link_(cost_model.hardware().pcie_bandwidth,
             cost_model.hardware().pcie_duplex_factor, options_.prioritize_swap_in),
       pcie_faults_(options_.fault_seed, options_.pcie_fault_profile,
                    options_.fault_retry),

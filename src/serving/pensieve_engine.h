@@ -29,8 +29,8 @@
 #include "src/serving/engine.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/pcie_link.h"
 #include "src/sim/ssd_link.h"
-#include "src/sim/tp_group.h"
 
 namespace pensieve {
 
@@ -272,9 +272,11 @@ class PensieveEngine final : public Engine {
   ChunkCostEstimator cost_estimator_;
   std::unique_ptr<EvictionPolicy> policy_;
   CacheCoordinator coordinator_;
-  // One PCIe link per tensor-parallel worker; each worker moves its own
-  // feature slice of every chunk (Â§4.4.2).
-  TpLinkGroup link_;
+  // Transfers are priced per GPU: every tensor-parallel worker moves its
+  // own feature slice of every chunk under the same cache plan, at the same
+  // instants, on an identical link (§4.4.2), so one link's completion time
+  // is the whole group's.
+  PcieLink link_;
   // Every KV transfer on link_ goes through this injector; with all rates
   // zero it is a draw-free pass-through.
   LinkFaultInjector pcie_faults_;

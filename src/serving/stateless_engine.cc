@@ -116,6 +116,13 @@ StepResult StatelessEngine::Step(double now) {
         options_.max_running) {
       break;
     }
+    if (ExceedsGpu(cand.prefill_len)) {
+      // Left at the head of the queue it would block every later request.
+      ++stats_.context_capped_requests;
+      result.finished.push_back(MakeOutcome(cand, now));
+      waiting_.pop_front();
+      continue;
+    }
     if (batch_tokens + cand.prefill_len > options_.max_batch_tokens &&
         !admitted.empty()) {
       break;
@@ -153,7 +160,9 @@ StepResult StatelessEngine::Step(double now) {
     }
   } else {
     if (running_.empty()) {
-      result.idle = true;
+      // A step that only context-capped queued requests still hands them
+      // back.
+      result.idle = result.finished.empty();
       return result;
     }
     // Decode step: one token per running sequence. Grow pages first; on
@@ -179,7 +188,7 @@ StepResult StatelessEngine::Step(double now) {
         --i;  // indices shifted left
       }
       if (running_.empty()) {
-        result.idle = true;
+        result.idle = result.finished.empty();
         return result;
       }
     }
@@ -213,7 +222,12 @@ StepResult StatelessEngine::Step(double now) {
     }
     ++seq.generated;
     ++stats_.generated_tokens;
-    if (seq.generated >= seq.request.target_output_len) {
+    // The next decode step grows the KV by one token.
+    const bool context_capped = ExceedsGpu(seq.context_len + 1);
+    if (context_capped && seq.generated < seq.request.target_output_len) {
+      ++stats_.context_capped_requests;
+    }
+    if (seq.generated >= seq.request.target_output_len || context_capped) {
       FreeSequence(&seq);  // stateless: release everything at finish
       result.finished.push_back(MakeOutcome(seq, finish_time));
     } else {

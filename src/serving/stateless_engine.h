@@ -66,6 +66,12 @@ class StatelessEngine final : public Engine {
   int64_t BlocksForTokens(int64_t tokens) const {
     return (tokens + options_.block_size - 1) / options_.block_size;
   }
+  // True when `context_len` tokens need more blocks than the whole GPU
+  // holds: the effective maximum context, as in PensieveEngine. Such a
+  // sequence finishes with the tokens it has generated.
+  bool ExceedsGpu(int64_t context_len) const {
+    return BlocksForTokens(context_len) > allocator_.capacity();
+  }
   bool GrowTo(Sequence* seq, int64_t new_context_len);
   void FreeSequence(Sequence* seq);
   void Preempt(Sequence* seq);

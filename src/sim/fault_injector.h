@@ -135,7 +135,7 @@ class LinkFaultInjector {
 
   // Schedules `bytes` on the underlying link: `schedule(start, bytes)`
   // must book the transfer and return its completion time (PcieLink /
-  // TpLinkGroup / ClusterInterconnect all fit). May call `schedule` several
+  // SsdLink / ClusterInterconnect all fit). May call `schedule` several
   // times (retries, partials); with faults disabled it calls it exactly
   // once with (now, bytes).
   LinkTransferOutcome Transfer(

@@ -176,19 +176,6 @@ TEST(AutoscalerTest, RespectsMinAndMaxBounds) {
   EXPECT_EQ(scaler.Decide(100.0, 0, 1), Autoscaler::Decision::kHold);
 }
 
-TEST(AutoscalerTest, HotLatencySignalForcesUpAndBlocksDown) {
-  AutoscaleOptions options = ScaleOptions();
-  options.up_p99_latency = 0.050;
-  options.latency_window = 8;
-  Autoscaler scaler(options);
-  for (int i = 0; i < 8; ++i) {
-    scaler.RecordFinish(0.2);  // way over the 50 ms/token target
-  }
-  EXPECT_GT(scaler.RecentP99(), options.up_p99_latency);
-  // Queue depth alone says shrink; the hot latency signal overrides to grow.
-  EXPECT_EQ(scaler.Decide(100.0, 0, 2), Autoscaler::Decision::kUp);
-}
-
 // --- Routers skip quarantined replicas --------------------------------------
 
 struct RouterRig {

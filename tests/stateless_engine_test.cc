@@ -174,6 +174,28 @@ TEST(StatelessEngineTest, PreemptAndRetryUnderPoolExhaustion) {
   EXPECT_EQ(more[0].suspensions, 0);
 }
 
+TEST(StatelessEngineTest, ContextLongerThanGpuIsCapped) {
+  GpuCostModel model = Opt13BModel();
+  // 4 blocks of 16 = 64 token slots on the whole GPU.
+  StatelessEngine engine(model, SmallOptions(4));
+  // History + prompt (100 tokens) can never fit: it finishes at admission
+  // with nothing generated instead of blocking the request behind it.
+  engine.Enqueue(MakeRequest(0, 0, 40, 60, 8, 0.0), 0.0);
+  // Fits at admission (50 tokens), but its decode would outgrow the GPU.
+  engine.Enqueue(MakeRequest(1, 1, 50, 0, 40, 1.0), 0.0);
+  std::vector<RequestOutcome> outcomes = Drain(&engine);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].request.request_id, 0);
+  EXPECT_EQ(outcomes[0].generated_tokens, 0);
+  EXPECT_EQ(outcomes[1].request.request_id, 1);
+  // The prefill emits token 1 over 50 tokens of KV; decode step k emits
+  // token k + 1 over 50 + k. After token 15 the KV fills all 64 slots and
+  // the next decode step would need a 65th.
+  EXPECT_EQ(outcomes[1].generated_tokens, 15);
+  EXPECT_EQ(engine.stats().context_capped_requests, 2);
+  EXPECT_FALSE(engine.HasWork());
+}
+
 TEST(StatelessEngineTest, TensorRtSpeedupReducesStepTime) {
   GpuCostModel model = Opt13BModel();
   StatelessEngineOptions vllm_options = SmallOptions(512);

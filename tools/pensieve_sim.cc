@@ -188,7 +188,7 @@ int Run(int argc, char** argv) {
                   "ID@T1:T2[,ID@T1:T2...]; models a degraded replica that "
                   "probing can catch before it hard-fails");
   flags.AddString("autoscale", "off",
-                  "queue/latency-driven autoscaling (DESIGN.md §14): on "
+                  "queue-depth autoscaling (DESIGN.md §14): on "
                   "starts --min-replicas active out of --replicas slots and "
                   "grows/shrinks the active set mid-run; retiring replicas "
                   "drain before destruction. off is bit-identical to the "
@@ -207,11 +207,7 @@ int Run(int argc, char** argv) {
                "replica exceeds this");
   flags.AddInt("scale-down-tokens", 512,
                "shrink when mean outstanding weighted tokens per active "
-               "replica falls below this (and the latency signal is calm)");
-  flags.AddDouble("scale-up-p99-ms", 0.0,
-                  "also grow when the p99 normalized latency (ms/token) of "
-                  "recently finished requests exceeds this (0 = queue-depth "
-                  "signal only)");
+               "replica falls below this");
   flags.AddString("fail-replica", "",
                   "kill replica ID at virtual time T: ID@T[,ID@T...]; its KV "
                   "is lost and its requests re-route to surviving replicas");
@@ -448,7 +444,6 @@ int Run(int argc, char** argv) {
   elastic.autoscale.cooldown = flags.GetDouble("scale-cooldown");
   elastic.autoscale.up_queue_tokens = flags.GetInt("scale-up-tokens");
   elastic.autoscale.down_queue_tokens = flags.GetInt("scale-down-tokens");
-  elastic.autoscale.up_p99_latency = flags.GetDouble("scale-up-p99-ms") / 1e3;
   if (elastic.autoscale.enabled) {
     if (elastic.autoscale.min_replicas < 1 ||
         elastic.autoscale.min_replicas > elastic.autoscale.max_replicas ||
